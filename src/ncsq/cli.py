@@ -396,8 +396,10 @@ def _cmd_check(ns: argparse.Namespace) -> Tuple[RunReport, bool]:
         report = RunReport(command="check", params=_params_echo(params), rows=rows)
         return report, True
     space = fock.make_space(ns.cutoff)
-    reports = list(verifier.identity_suite(params, space, amps, z, buffer=ns.buffer))
-    reports += verifier.crosscheck_suite(params, space, [(amps, z)], buffer=ns.buffer)
+    fock.check_buffer(space, ns.buffer)
+    ops = fock.build_operator_set(params, space)
+    reports = list(verifier.identity_suite(params, space, amps, z, buffer=ns.buffer, ops=ops))
+    reports += verifier.crosscheck_suite(params, space, [(amps, z)], buffer=ns.buffer, ops=ops)
     rows = _residual_rows(reports)
     failed = any(not rep.passed for rep in reports)
     report = RunReport(command="check", params=_params_echo(params), rows=rows)
@@ -650,6 +652,7 @@ _USER_ERRORS = (
     GridTooLarge,
     NonPositiveParameter,
     NonFinite,
+    fock.BufferOutOfRange,
     fock.CutoffOutOfRange,
     fock.SqueezeTooLargeForCutoff,
     fock.PopulationOverflow,

@@ -1,14 +1,15 @@
 """Truncated two-mode number-basis realisation of the deformed pair.
 
 The Hilbert space is spanned by |n_a, n_b> with both occupations capped at
-``cutoff``; index layout is row-major, i = n_a*(cutoff+1) + n_b.  Ordinary
-ladder matrices are Kronecker products of the single-mode ladder with the
-identity.  The noncommuting plane operators (x, y, px, py) are obtained by
-inverting the linear map that defines the ordinary modes in terms of them,
-which is a 4x4 solve with the truncated ladder matrices on the right-hand
-side; the deformed pair (a_def, b_def) is then assembled from the plane
-operators.  Everything downstream (displacement, squeeze, the deformed
-vacuum) works with these matrices.
+``cutoff``; index layout is row-major, i = n_a*(cutoff+1) + n_b.  Operators
+are CSR matrices built from ladder coefficients: the plane operators (x, y,
+px, py) and the deformed pair (a_def, b_def) are exact linear combinations
+of the ordinary a, a+, b, b+, with coefficient 4-vectors from inverting the
+4x4 map that defines the ordinary modes in terms of the plane operators.
+Generators are at most quadratic in the ladder, so states are built by
+sparse exponential-times-vector products.  The only dense dim x dim
+matrices are the unitaries of displacement_op and squeeze_op, about 45 MB
+each at cutoff 40.
 
 Truncation is the only approximation.  Operator identities hold exactly on
 the subspace of total occupation <= cutoff - buffer; states are guarded by a
@@ -22,17 +23,18 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, diags_array, eye_array, issparse, kron
 from scipy.sparse.linalg import expm_multiply
 
 from .analytic import ModeAmplitudes, SqueezeParam
 from .params import ConstraintClass, NcParams, NonFinite
 
 __all__ = [
+    "BufferOutOfRange",
     "CutoffOutOfRange",
     "FockSpace",
     "NonHermitianOperator",
@@ -45,6 +47,7 @@ __all__ = [
     "StateVector",
     "basis_state",
     "build_operator_set",
+    "check_buffer",
     "commutator",
     "deformed_ops",
     "deformed_vacuum",
@@ -71,6 +74,10 @@ MIN_LAMBDA_DENOM = 1e-8
 
 class CutoffOutOfRange(ValueError):
     """Cutoff is not an integer in [1, MAX_CUTOFF]."""
+
+
+class BufferOutOfRange(ValueError):
+    """Safe-subspace buffer is not an integer in [0, cutoff]."""
 
 
 class SaturatedOrSuperCritical(ValueError):
@@ -144,19 +151,23 @@ def _check_same_space(left: FockSpace, right: FockSpace) -> None:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex matrix tagged with the space it acts on."""
+    """Complex matrix tagged with the space it acts on: CSR, or dense for the
+    unitaries; the arithmetic works on both, and mixtures come out dense."""
 
     space: FockSpace
-    matrix: np.ndarray
+    matrix: Union[csr_array, np.ndarray]
 
     def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.matrix.conj().T.copy())
+        adjoint = self.matrix.conj().T
+        return OperatorMatrix(
+            self.space, adjoint.tocsr() if issparse(adjoint) else adjoint.copy()
+        )
 
     def hermitized(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, 0.5 * (self.matrix + self.matrix.conj().T))
+        return OperatorMatrix(self.space, 0.5 * (self.matrix + self.dag().matrix))
 
     def hermiticity_defect(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
+        return float(abs(self.matrix - self.dag().matrix).max())
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if not isinstance(other, OperatorMatrix):
@@ -226,31 +237,25 @@ def basis_state(space: FockSpace, n_a: int, n_b: int) -> StateVector:
     return StateVector(space, vec)
 
 
-def _single_mode_ladder(cutoff: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1.0)), k=1)
-
-
-def ordinary_mode_ops(space: FockSpace) -> Tuple[OperatorMatrix, OperatorMatrix]:
-    """Ordinary (undeformed) annihilators a, b as truncated matrices."""
+def _ladder(space: FockSpace) -> Tuple[csr_array, csr_array, csr_array, csr_array]:
+    """(a, a+, b, b+) as CSR: the basis every coefficient 4-vector refers to."""
     side = space.cutoff + 1
-    ladder = _single_mode_ladder(space.cutoff)
-    eye = np.eye(side)
-    a = np.kron(ladder, eye).astype(np.complex128)
-    b = np.kron(eye, ladder).astype(np.complex128)
-    return OperatorMatrix(space, a), OperatorMatrix(space, b)
+    lower = diags_array(np.sqrt(np.arange(1.0, side)), offsets=1)
+    eye = eye_array(side)
+    a = csr_array(kron(lower, eye), dtype=np.complex128)
+    b = csr_array(kron(eye, lower), dtype=np.complex128)
+    return a, a.T.tocsr(), b, b.T.tocsr()
 
 
-def phase_space_ops(
-    params: NcParams, space: FockSpace
-) -> Tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """Plane operators (x, y, px, py) realised on the truncated space.
+def _ladder_coefficients(params: NcParams) -> np.ndarray:
+    """Rows x, y, px, py, a_def, b_def as coefficient 4-vectors over (a, a+, b, b+).
 
-    The ordinary modes are defined as fixed linear combinations of the four
-    plane operators; inverting that definition is a 4x4 linear solve with
-    matrix-valued right-hand sides built from a, a+, b, b+.  The solutions
-    are hermitised to kill rounding asymmetry.  Requires strictly
-    sub-critical parameters: at and beyond the critical point the map is
-    singular.
+    The plane rows solve the 4x4 map that defines the ordinary modes in
+    terms of the plane operators, with the quadratures of a and b on the
+    right; they are hermitised (an a+ weight is the conjugate of the a
+    weight) to kill rounding asymmetry.  a_def mixes x with px, b_def y with
+    py, with the quartic-root weights that make the pair dimensionless.
+    Requires strictly sub-critical parameters: beyond, the map is singular.
     """
     if (
         params.constraint_class is not ConstraintClass.SUB_CRITICAL
@@ -264,11 +269,6 @@ def phase_space_ops(
         )
     hbar = params.hbar
     kappa = params.kappa
-    denom = params.lambda_denom
-    a, b = ordinary_mode_ops(space)
-    adag = a.dag()
-    bdag = b.dag()
-
     coeff = np.array(
         [
             [kappa, 0.0, 0.0, params.mu / (2.0 * hbar)],
@@ -277,47 +277,52 @@ def phase_space_ops(
             [params.nu / (2.0 * kappa * hbar), 0.0, 0.0, 1.0],
         ]
     )
-    scale = math.sqrt(0.5 * hbar) * denom
-    rhs = np.stack(
-        [
-            scale * (a.matrix + adag.matrix),
-            scale * (a.matrix - adag.matrix) / 1j,
-            scale * (b.matrix + bdag.matrix),
-            scale * (b.matrix - bdag.matrix) / 1j,
-        ]
-    ).reshape(4, -1)
-    sol = np.linalg.solve(coeff, rhs).reshape(4, space.dim, space.dim)
-    x, y, px, py = (
-        OperatorMatrix(space, m).hermitized() for m in sol
+    # a + a+, (a - a+)/i, b + b+, (b - b+)/i over (a, a+, b, b+)
+    quadratures = np.array(
+        [[1, 1, 0, 0], [-1j, 1j, 0, 0], [0, 0, 1, 1], [0, 0, -1j, 1j]]
     )
-    return x, y, px, py
-
-
-def deformed_ops(
-    params: NcParams,
-    space: FockSpace,
-    plane: Optional[Tuple[OperatorMatrix, ...]] = None,
-) -> Tuple[OperatorMatrix, OperatorMatrix]:
-    """Deformed annihilators built from the plane operators.
-
-    a_def mixes x with px, b_def mixes y with py, each with the quartic-root
-    weights that make the pair dimensionless.  The two satisfy the usual
-    single-mode relations plus the cross relation [a_def, b_def+] = i*theta.
-    """
-    if plane is None:
-        plane = phase_space_ops(params, space)
+    scale = math.sqrt(0.5 * hbar) * params.lambda_denom
+    sol = np.linalg.solve(coeff, scale * quadratures)
+    plane = 0.5 * (sol + sol[:, [1, 0, 3, 2]].conj())
     x, y, px, py = plane
     c = (params.nu / params.mu) ** 0.25
     d = (params.mu / params.nu) ** 0.25
-    scale = 1.0 / math.sqrt(2.0 * params.hbar)
+    scale = 1.0 / math.sqrt(2.0 * hbar)
     a_def = scale * (c * x + (1j * d) * px)
     b_def = scale * (c * y + (1j * d) * py)
-    return a_def, b_def
+    return np.vstack([plane, a_def, b_def])
+
+
+def ordinary_mode_ops(space: FockSpace) -> Tuple[OperatorMatrix, OperatorMatrix]:
+    """Ordinary (undeformed) annihilators a, b as truncated matrices."""
+    a, _, b, _ = _ladder(space)
+    return OperatorMatrix(space, a), OperatorMatrix(space, b)
+
+
+def phase_space_ops(
+    params: NcParams, space: FockSpace
+) -> Tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+    """Plane operators (x, y, px, py) realised on the truncated space."""
+    ops = build_operator_set(params, space)
+    return ops.x, ops.y, ops.px, ops.py
+
+
+def deformed_ops(
+    params: NcParams, space: FockSpace
+) -> Tuple[OperatorMatrix, OperatorMatrix]:
+    """Deformed annihilators built from the plane operators.
+
+    The two satisfy the usual single-mode relations plus the cross relation
+    [a_def, b_def+] = i*theta.
+    """
+    ops = build_operator_set(params, space)
+    return ops.a_def, ops.b_def
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """All the matrices most callers need, built once per (params, space)."""
+    """All the matrices most callers need, built once per (params, space);
+    ``coeffs`` holds the _ladder_coefficients rows each operator is built from."""
 
     space: FockSpace
     params: NcParams
@@ -329,6 +334,7 @@ class OperatorSet:
     py: OperatorMatrix
     a_def: OperatorMatrix
     b_def: OperatorMatrix
+    coeffs: np.ndarray
 
     @functools.cached_property
     def pair_annihilator(self) -> OperatorMatrix:
@@ -346,27 +352,31 @@ class OperatorSet:
 
 
 def build_operator_set(params: NcParams, space: FockSpace) -> OperatorSet:
-    a_ord, b_ord = ordinary_mode_ops(space)
-    plane = phase_space_ops(params, space)
-    a_def, b_def = deformed_ops(params, space, plane)
-    x, y, px, py = plane
+    coeffs = _ladder_coefficients(params)
+    ladder = _ladder(space)
+    x, y, px, py, a_def, b_def = (
+        OperatorMatrix(space, sum(c * m for c, m in zip(row, ladder))) for row in coeffs
+    )
     return OperatorSet(
-        space=space, params=params, a_ord=a_ord, b_ord=b_ord,
-        x=x, y=y, px=px, py=py, a_def=a_def, b_def=b_def,
+        space=space, params=params,
+        a_ord=OperatorMatrix(space, ladder[0]), b_ord=OperatorMatrix(space, ladder[2]),
+        x=x, y=y, px=px, py=py, a_def=a_def, b_def=b_def, coeffs=coeffs,
     )
 
 
 def matrix_exp(op: OperatorMatrix, tol: float = 1e-12) -> OperatorMatrix:
     """Dense matrix exponential with a finiteness guard on the result.
 
+    A sparse input is densified first: the result is dense in any case.
     The underlying scaling-and-squaring method is backward stable well
     below the default tol; for anti-Hermitian input the result is unitary
     to within about 10*tol in max norm.  tol documents the contract, it is
     not an algorithm knob.
     """
-    if not np.isfinite(op.matrix).all():
+    matrix = op.matrix.toarray() if issparse(op.matrix) else op.matrix
+    if not np.isfinite(matrix).all():
         raise NonFinite("matrix exponential of a non-finite matrix")
-    result = expm(op.matrix)
+    result = expm(matrix)
     if not np.isfinite(result).all():
         raise NonFinite("matrix exponential produced non-finite entries")
     return OperatorMatrix(op.space, result)
@@ -421,36 +431,23 @@ def deformed_vacuum(
 ) -> StateVector:
     """The state annihilated by both deformed annihilators.
 
-    On the truncated space a_def and b_def are exact linear combinations of
-    the ordinary ladder matrices, so the joint null state is a Gaussian over
-    the ordinary basis: exp(Q)|0,0> with Q quadratic in the ordinary
-    creators.  The three quadratic coefficients solve a small overdetermined
-    linear system read off from matrix entries; exp(Q)|0,0> is summed as a
+    a_def and b_def are exact linear combinations of the ordinary ladder
+    matrices, so the joint null state is a Gaussian over the ordinary basis:
+    exp(Q)|0,0> with Q quadratic in the ordinary creators.  The three
+    quadratic coefficients solve a small overdetermined linear system in
+    the ladder coefficients of a_def and b_def; exp(Q)|0,0> is summed as a
     terminating Taylor series because Q only raises total occupation.
     """
     if ops is None:
         ops = build_operator_set(params, space)
-    a_def = ops.a_def.matrix
-    b_def = ops.b_def.matrix
-    i00 = space.index_of(0, 0)
-    i10 = space.index_of(1, 0)
-    i01 = space.index_of(0, 1)
-
-    # coefficients of a_def = A_a a + A_adag a+ + A_b b + A_bdag b+ (mode b alike)
+    # a_def = A_a a + A_adag a+ + A_b b + A_bdag b+ (b_def alike)
+    (a_a, a_adag, a_b, a_bdag), (b_a, b_adag, b_b, b_bdag) = ops.coeffs[4:]
     sys = np.array(
-        [
-            [a_def[i00, i10], a_def[i00, i01], 0.0],
-            [0.0, a_def[i00, i10], a_def[i00, i01]],
-            [b_def[i00, i10], b_def[i00, i01], 0.0],
-            [0.0, b_def[i00, i10], b_def[i00, i01]],
-        ],
+        [[a_a, a_b, 0.0], [0.0, a_a, a_b], [b_a, b_b, 0.0], [0.0, b_a, b_b]],
         dtype=np.complex128,
     )
-    rhs = -np.array(
-        [a_def[i10, i00], a_def[i01, i00], b_def[i10, i00], b_def[i01, i00]],
-        dtype=np.complex128,
-    )
-    lam, residual, rank, _ = np.linalg.lstsq(sys, rhs, rcond=None)
+    rhs = -np.array([a_adag, a_bdag, b_adag, b_bdag], dtype=np.complex128)
+    lam, *_ = np.linalg.lstsq(sys, rhs, rcond=None)
     fit = sys @ lam - rhs
     if float(np.linalg.norm(fit)) > 1e-10:
         raise SaturatedOrSuperCritical(
@@ -458,8 +455,8 @@ def deformed_vacuum(
             f"(residual {float(np.linalg.norm(fit)):.3e})"
         )
 
-    adag = csr_array(ops.a_ord.dag().matrix)
-    bdag = csr_array(ops.b_ord.dag().matrix)
+    adag = ops.a_ord.dag().matrix
+    bdag = ops.b_ord.dag().matrix
 
     def quad_apply(v: np.ndarray) -> np.ndarray:
         av = adag @ v
@@ -468,7 +465,7 @@ def deformed_vacuum(
             + 0.5 * lam[2] * (bdag @ bv)
 
     vec = np.zeros(space.dim, dtype=np.complex128)
-    vec[i00] = 1.0
+    vec[space.index_of(0, 0)] = 1.0
     term = vec.copy()
     for k in range(1, space.cutoff + 2):
         term = quad_apply(term) / k
@@ -501,20 +498,18 @@ def make_state(
     population sits within ``buffer`` quanta of the cutoff, the truncation
     cannot be trusted and PopulationOverflow is raised.
     """
-    if ops is None:
-        ops = build_operator_set(params, space)
     if z is not None and z.r > max_r:
         raise SqueezeTooLargeForCutoff(
             f"squeeze r={z.r} exceeds max_r={max_r}; raise max_r explicitly "
             "if the cutoff can absorb it"
         )
+    if ops is None:
+        ops = build_operator_set(params, space)
     vec = ops.ground.vector
     if amps is not None and (amps.alpha != 0.0 or amps.beta != 0.0):
-        gen = csr_array(_displacement_generator(ops, amps).matrix)
-        vec = expm_multiply(gen, vec)
+        vec = expm_multiply(_displacement_generator(ops, amps).matrix, vec)
     if z is not None and z.r > 0.0:
-        gen = csr_array(_squeeze_generator(ops, z).matrix)
-        vec = expm_multiply(gen, vec)
+        vec = expm_multiply(_squeeze_generator(ops, z).matrix, vec)
     out = StateVector(space, vec).normalized()
     leak = safe_norm_fraction(out, buffer=buffer)
     if leak > tail_tol:
@@ -532,14 +527,23 @@ def safe_norm_fraction(state: StateVector, buffer: int = DEFAULT_BUFFER) -> floa
     inside the space, approaching 1 as population piles up at the cutoff.
     """
     space = state.space
-    if not (0 <= buffer <= space.cutoff):
-        raise ValueError(f"buffer must be in [0, {space.cutoff}], got {buffer}")
+    check_buffer(space, buffer)
     mask = space.n_tot > space.cutoff - buffer
     pop = state.population()
     total = float(np.sum(pop))
     if total == 0.0:
         raise ValueError("zero state has no population fractions")
     return float(np.sum(pop[mask])) / total
+
+
+def check_buffer(space: FockSpace, buffer: int) -> None:
+    """Refuse a safe-subspace buffer outside [0, cutoff]: a negative one
+    would trust the truncation edge, a larger one leaves no safe block."""
+    if isinstance(buffer, bool) or not isinstance(buffer, numbers.Integral) \
+            or not 0 <= buffer <= space.cutoff:
+        raise BufferOutOfRange(
+            f"buffer must be an integer in [0, {space.cutoff}], got {buffer!r}"
+        )
 
 
 def expectation(state: StateVector, op: OperatorMatrix) -> complex:
@@ -559,7 +563,7 @@ def expectation_and_variance(
     """
     _check_same_space(state.space, op.space)
     defect = op.hermiticity_defect()
-    scale = max(1.0, float(np.abs(op.matrix).max()))
+    scale = max(1.0, float(abs(op.matrix).max()))
     if defect > 1e-10 * scale:
         raise NonHermitianOperator(
             f"hermiticity defect {defect:.3e} exceeds tolerance for variance"

@@ -20,27 +20,30 @@ execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from scipy.linalg import expm
+from scipy.sparse import csr_array, eye_array
+from scipy.sparse.linalg import expm_multiply
+
 from . import analytic
 from .analytic import ModeAmplitudes, SqueezeParam
-from scipy.linalg import expm
-from scipy.sparse import csr_array
-
 from .fock import (
     DEFAULT_BUFFER,
     FockSpace,
     OperatorMatrix,
     OperatorSet,
+    _displacement_generator,
     _squeeze_generator,
     build_operator_set,
-    displacement_op,
+    check_buffer,
+    commutator,
     expectation_and_variance,
+    make_space,
     make_state,
-    squeeze_op,
 )
 from .params import NcParams
 
@@ -138,10 +141,41 @@ def _params_meta(params: NcParams, space: FockSpace, buffer: int) -> Dict[str, o
     }
 
 
-def _safe_block_max(space: FockSpace, matrix: np.ndarray, buffer: int) -> float:
+def _safe_indices(space: FockSpace, buffer: int) -> np.ndarray:
+    """Indices with total occupation <= cutoff - buffer; never empty,
+    because check_buffer refuses a buffer outside [0, cutoff]."""
+    check_buffer(space, buffer)
+    return np.flatnonzero(space.n_tot <= space.cutoff - buffer)
+
+
+def _safe_block_max(space: FockSpace, matrix, buffer: int) -> float:
     """Max magnitude over entries whose row and column are both safe."""
-    mask = space.n_tot <= space.cutoff - buffer
-    return float(np.abs(matrix[np.ix_(mask, mask)]).max())
+    idx = _safe_indices(space, buffer)
+    return float(abs(matrix[idx][:, idx]).max())
+
+
+def _block_entries(matrices: Sequence, idx: np.ndarray) -> np.ndarray:
+    """Entries of each matrix on the (idx, idx) block, one column each.
+
+    Rows run over the union of the nonzero patterns of all the blocks;
+    every entry outside it is zero in every matrix, so a fit or residual
+    over these rows equals one over the whole block.
+    """
+    blocks = [csr_array(m[idx][:, idx]) for m in matrices]
+    rows, cols = sum(abs(block) for block in blocks).nonzero()
+    if rows.size == 0:  # every block is zero, as on the 1x1 block buffer = cutoff
+        return np.zeros((0, len(blocks)), dtype=np.complex128)
+    return np.column_stack([block[rows, cols] for block in blocks])
+
+
+_QUADRATURE_NAMES = ("dx2", "dy2", "dpx2", "dpy2", "dX2", "dP2")
+
+
+def _quadratures(ops: OperatorSet) -> Dict[str, OperatorMatrix]:
+    """x, y, px, py and the collective X = (x + y)/2, P = (px + py)/2,
+    keyed by the names of their variances in _QUADRATURE_NAMES order."""
+    x, y, px, py = ops.x, ops.y, ops.px, ops.py
+    return dict(zip(_QUADRATURE_NAMES, (x, y, px, py, 0.5 * (x + y), 0.5 * (px + py))))
 
 
 def algebra_residuals(
@@ -150,13 +184,10 @@ def algebra_residuals(
     """Safe-subspace residuals of every defining commutation relation."""
     space = ops.space
     p = ops.params
-    eye = np.eye(space.dim)
+    eye = eye_array(space.dim, dtype=np.complex128, format="csr")
 
-    # All these operators are banded ladder combinations, so sparse products
-    # turn the 17 commutators from seconds of dense matmuls into noise.
     def resid(left: OperatorMatrix, right: OperatorMatrix, want: complex) -> float:
-        ls, rs = csr_array(left.matrix), csr_array(right.matrix)
-        comm = (ls @ rs - rs @ ls).toarray() - want * eye
+        comm = commutator(left, right).matrix - want * eye
         return _safe_block_max(space, comm, buffer)
 
     theta = p.theta
@@ -177,10 +208,15 @@ def algebra_residuals(
         "ord_ab": resid(ops.a_ord, ops.b_ord, 0.0),
         "ord_a_bdag": resid(ops.a_ord, ops.b_ord.dag(), 0.0),
     }
-    big_x = 0.5 * (ops.x + ops.y)
-    big_p = 0.5 * (ops.px + ops.py)
-    out["XP"] = resid(big_x, big_p, 0.5j * p.hbar)
+    quads = _quadratures(ops)
+    out["XP"] = resid(quads["dX2"], quads["dP2"], 0.5j * p.hbar)
     return out
+
+
+def _span(ops: OperatorSet) -> List:
+    """Matrices of (a_def, b_def, b_def+, a_def+), the ModeTransform order."""
+    return [ops.a_def.matrix, ops.b_def.matrix,
+            ops.b_def.dag().matrix, ops.a_def.dag().matrix]
 
 
 def fit_mode_transform(
@@ -203,23 +239,14 @@ def fit_mode_transform(
     need this.
     """
     space = ops.space
-    top = space.cutoff - buffer
+    idx = _safe_indices(space, buffer)
     if block_top is not None:
-        top = min(top, block_top)
-    mask = space.n_tot <= top
-    idx = np.ix_(mask, mask)
-    basis = [ops.a_def, ops.b_def, ops.b_def.dag(), ops.a_def.dag()]
-    design = np.stack([b.matrix[idx].ravel() for b in basis], axis=1)
-    rhs = conjugated.matrix[idx].ravel()
+        idx = idx[space.n_tot[idx] <= block_top]
+    table = _block_entries(_span(ops) + [conjugated.matrix], idx)
+    design, rhs = table[:, :4], table[:, 4]
     coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    resid = float(np.abs(design @ coef - rhs).max())
-    transform = analytic.ModeTransform(
-        c_a=complex(coef[0]),
-        c_b=complex(coef[1]),
-        c_bdag=complex(coef[2]),
-        c_adag=complex(coef[3]),
-    )
-    return transform, resid
+    resid = float(np.abs(design @ coef - rhs).max(initial=0.0))
+    return analytic.ModeTransform(*(complex(c) for c in coef)), resid
 
 
 def adjoint_mode_transform(
@@ -235,43 +262,52 @@ def adjoint_mode_transform(
     in reflected truncation error.  Returns the transforms of the two
     annihilators and the worst closure residual of the four commutator
     fits; a large closure value would mean the span assumption itself
-    fails, so callers should fold it into their residual.
+    fails, so callers should fold it into their residual.  The fits run
+    over the union of the nonzero patterns of the span and the
+    commutators on the safe block.
     """
-    space = ops.space
-    mask = space.n_tot <= space.cutoff - buffer
-    block = np.ix_(mask, mask)
-    span = [ops.a_def, ops.b_def, ops.b_def.dag(), ops.a_def.dag()]
-    design = np.stack([op.matrix[block].ravel() for op in span], axis=1)
-    gen_m = gen.matrix
-    action = np.zeros((4, 4), dtype=np.complex128)
-    closure = 0.0
-    for col, op in enumerate(span):
-        comm = (gen_m @ op.matrix - op.matrix @ gen_m)[block].ravel()
-        coef, *_ = np.linalg.lstsq(design, comm, rcond=None)
-        action[:, col] = coef
-        closure = max(closure, float(np.abs(design @ coef - comm).max()))
+    idx = _safe_indices(ops.space, buffer)
+    span = _span(ops)
+    table = _block_entries(span + [gen.matrix @ m - m @ gen.matrix for m in span], idx)
+    design, comms = table[:, :4], table[:, 4:]
+    action, *_ = np.linalg.lstsq(design, comms, rcond=None)
+    closure = float(np.abs(design @ action - comms).max(initial=0.0))
     flow = expm(action)
-
-    def _column(col: int) -> analytic.ModeTransform:
-        return analytic.ModeTransform(
-            c_a=complex(flow[0, col]),
-            c_b=complex(flow[1, col]),
-            c_bdag=complex(flow[2, col]),
-            c_adag=complex(flow[3, col]),
-        )
-
-    return _column(0), _column(1), closure
+    ad_a, ad_b = (analytic.ModeTransform(*(complex(c) for c in flow[:, col]))
+                  for col in (0, 1))
+    return ad_a, ad_b, closure
 
 
 def _transform_distance(
     fitted: analytic.ModeTransform, closed: analytic.ModeTransform
 ) -> float:
-    return max(
-        abs(fitted.c_a - closed.c_a),
-        abs(fitted.c_b - closed.c_b),
-        abs(fitted.c_bdag - closed.c_bdag),
-        abs(fitted.c_adag - closed.c_adag),
-    )
+    return max(abs(f - c) for f, c in zip(astuple(fitted), astuple(closed)))
+
+
+def _shift_blocks(
+    ops: OperatorSet, amps: ModeAmplitudes, idx: np.ndarray
+) -> List[np.ndarray]:
+    """D+ m D - m - lambda_m on the (idx, idx) block, for m = a_def, b_def.
+
+    D = exp(G) is applied to the block's basis columns as exponential-
+    times-matrix products: forward, then the annihilator, then backward.
+    """
+    gen = _displacement_generator(ops, amps).matrix
+    moved = expm_multiply(gen, eye_array(ops.space.dim, format="csc")[:, idx].toarray())
+    lams = analytic.coherent_eigenvalues(ops.params, amps)
+    return [
+        expm_multiply(-gen, mode.matrix @ moved)[idx]
+        - mode.matrix[idx][:, idx] - lam * np.eye(idx.size)
+        for mode, lam in zip((ops.a_def, ops.b_def), lams)
+    ]
+
+
+# identity class -> the algebra_residuals entries it reports
+_ALGEBRA_CLASSES = {
+    "heisenberg_weyl": ("xy", "pxpy", "xpx", "ypy", "xpy", "ypx"),
+    "deformed_algebra": ("a_adag", "b_bdag", "ab", "a_bdag", "b_adag"),
+    "ordinary_algebra": ("ord_a_adag", "ord_b_bdag", "ord_ab", "ord_a_bdag"),
+}
 
 
 def identity_suite(
@@ -280,57 +316,36 @@ def identity_suite(
     amps: ModeAmplitudes,
     z: SqueezeParam,
     buffer: int = DEFAULT_BUFFER,
+    ops: Optional[OperatorSet] = None,
 ) -> List[ResidualReport]:
     """All operator-level identities, one report per identity class.
 
     Classes: the phase-plane commutators, the deformed and ordinary boson
     algebras, the displacement shift property, the squeeze conjugation
     coefficients, eigenvalue relations of the constructed states, and the
-    collective-quadrature commutator.
+    collective-quadrature commutator.  Refuses a buffer outside
+    [0, cutoff] with BufferOutOfRange before building anything.
     """
-    ops = build_operator_set(params, space)
+    check_buffer(space, buffer)
+    if ops is None:
+        ops = build_operator_set(params, space)
     meta = _params_meta(params, space, buffer)
     resids = algebra_residuals(ops, buffer)
     reports = [
-        _report(
-            "heisenberg_weyl",
-            max(resids[k] for k in ("xy", "pxpy", "xpx", "ypy", "xpy", "ypx")),
-            COMMUTATOR_TOL,
-            **meta,
-        ),
-        _report(
-            "deformed_algebra",
-            max(resids[k] for k in ("a_adag", "b_bdag", "ab", "a_bdag", "b_adag")),
-            COMMUTATOR_TOL,
-            **meta,
-        ),
-        _report(
-            "ordinary_algebra",
-            max(resids[k] for k in ("ord_a_adag", "ord_b_bdag", "ord_ab", "ord_a_bdag")),
-            COMMUTATOR_TOL,
-            **meta,
-        ),
+        _report(check_id, max(resids[k] for k in keys), COMMUTATOR_TOL, **meta)
+        for check_id, keys in _ALGEBRA_CLASSES.items()
     ]
 
     lam_a, lam_b = analytic.coherent_eigenvalues(params, amps)
-    eye = np.eye(space.dim)
-
-    disp = displacement_op(params, space, amps, ops)
-    shift_a = disp.dag().matrix @ ops.a_def.matrix @ disp.matrix \
-        - ops.a_def.matrix - lam_a * eye
-    shift_b = disp.dag().matrix @ ops.b_def.matrix @ disp.matrix \
-        - ops.b_def.matrix - lam_b * eye
-    # Matrix-exponential conjugation smears edge artifacts roughly 15
+    # Conjugation by an exponential smears edge artifacts roughly 15
     # levels into the interior (factorially damped), so this check needs
     # a deeper margin than the single-commutator ones.
     conj_buffer = max(buffer, min(15, space.cutoff - 4))
+    shifts = _shift_blocks(ops, amps, _safe_indices(space, conj_buffer))
     reports.append(
         _report(
             "displacement_property",
-            max(
-                _safe_block_max(space, shift_a, conj_buffer),
-                _safe_block_max(space, shift_b, conj_buffer),
-            ),
+            max(float(np.abs(block).max()) for block in shifts),
             OPERATOR_TOL,
             alpha=str(amps.alpha),
             beta=str(amps.beta),
@@ -338,14 +353,9 @@ def identity_suite(
         )
     )
 
-    if z.r > 0.0:
-        sq = squeeze_op(params, space, z, ops)
-    else:
-        sq = OperatorMatrix(space, np.eye(space.dim, dtype=np.complex128))
-    conj_a = OperatorMatrix(space, sq.matrix @ ops.a_def.matrix @ sq.dag().matrix)
-    conj_b = OperatorMatrix(space, sq.matrix @ ops.b_def.matrix @ sq.dag().matrix)
+    squeeze = _squeeze_generator(ops, z)
     closed = analytic.bogoliubov_coefficients(params, z)
-    ad_a, ad_b, closure = adjoint_mode_transform(_squeeze_generator(ops, z), ops, buffer)
+    ad_a, ad_b, closure = adjoint_mode_transform(squeeze, ops, buffer)
     reports.append(
         _report(
             "bogoliubov",
@@ -371,12 +381,12 @@ def identity_suite(
         float(np.linalg.norm(ops.b_def.matrix @ coh.vector - lam_b * coh.vector)),
     )
     if z.r > 0.0:
+        # S a S+ on the squeezed state, applied as S+, then a, then S
         sqz = make_state(params, space, amps, z, ops=ops, tail_tol=1e-6)
-        eig = max(
-            eig,
-            float(np.linalg.norm(conj_a.matrix @ sqz.vector - lam_a * sqz.vector)),
-            float(np.linalg.norm(conj_b.matrix @ sqz.vector - lam_b * sqz.vector)),
-        )
+        unsqueezed = expm_multiply(-squeeze.matrix, sqz.vector)
+        for mode, lam in ((ops.a_def, lam_a), (ops.b_def, lam_b)):
+            lowered = expm_multiply(squeeze.matrix, mode.matrix @ unsqueezed)
+            eig = max(eig, float(np.linalg.norm(lowered - lam * sqz.vector)))
     reports.append(
         _report(
             "eigenvalue_relations",
@@ -404,19 +414,22 @@ def crosscheck_suite(
     space: FockSpace,
     cases: Sequence[Tuple[ModeAmplitudes, Optional[SqueezeParam]]],
     buffer: int = DEFAULT_BUFFER,
+    ops: Optional[OperatorSet] = None,
 ) -> List[ResidualReport]:
     """State-level closed-form versus engine comparisons.
 
     For each (amplitudes, squeeze) case: the overlaps of the state against
     the deformed vacuum and against the coherent state with the same
     amplitudes, and the six quadrature variances, all compared to their
-    closed forms at relative tolerance 1e-6.
+    closed forms at relative tolerance 1e-6.  Refuses a buffer outside
+    [0, cutoff] with BufferOutOfRange before building anything.
     """
-    ops = build_operator_set(params, space)
+    check_buffer(space, buffer)
+    if ops is None:
+        ops = build_operator_set(params, space)
     vac_amps = ModeAmplitudes(0.0, 0.0)
     vacuum = make_state(params, space, ops=ops)
-    big_x = 0.5 * (ops.x + ops.y)
-    big_p = 0.5 * (ops.px + ops.py)
+    quads = _quadratures(ops)
 
     reports: List[ResidualReport] = []
     for index, (amps, z) in enumerate(cases):
@@ -447,17 +460,10 @@ def crosscheck_suite(
 
         single = analytic.single_mode_report(params, z)
         two = analytic.two_mode_report(params, z)
-        expected = {
-            "dx2": (ops.x, single.dx2),
-            "dy2": (ops.y, single.dy2),
-            "dpx2": (ops.px, single.dpx2),
-            "dpy2": (ops.py, single.dpy2),
-            "dX2": (big_x, two.dX2),
-            "dP2": (big_p, two.dP2),
-        }
+        wants = (single.dx2, single.dy2, single.dpx2, single.dpy2, two.dX2, two.dP2)
         var_resid = 0.0
         values: Dict[str, float] = {}
-        for name, (op, want) in expected.items():
+        for (name, op), want in zip(quads.items(), wants):
             _, got = expectation_and_variance(state, op)
             values[name] = got
             var_resid = max(var_resid, abs(got - want) / max(abs(want), 1e-30))
@@ -547,9 +553,6 @@ def overcompleteness_mc(
     return reports
 
 
-_TRACKED_VARIANCES = ("dx2", "dy2", "dpx2", "dpy2", "dX2", "dP2")
-
-
 def convergence_probe(
     params: NcParams,
     amps: ModeAmplitudes,
@@ -564,14 +567,12 @@ def convergence_probe(
     differences.  A quantity passes when the differences shrink (tiny
     floors forgiven) and the last one is below 1e-8.
     """
-    from .fock import make_space  # local import keeps module load light
-
     if len(cutoffs) < 2:
         raise ValueError("need at least two cutoffs to measure convergence")
     if list(cutoffs) != sorted(set(cutoffs)):
         raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs!r}")
 
-    tracked: Dict[str, List[float]] = {name: [] for name in _TRACKED_VARIANCES}
+    tracked: Dict[str, List[float]] = {name: [] for name in _QUADRATURE_NAMES}
     tracked["vac_overlap"] = []
     for cutoff in cutoffs:
         space = make_space(cutoff)
@@ -582,15 +583,7 @@ def convergence_probe(
                            tail_tol=1e-3)
         vacuum = make_state(params, space, ops=ops, buffer=buffer,
                             tail_tol=1e-3)
-        quads = {
-            "dx2": ops.x,
-            "dy2": ops.y,
-            "dpx2": ops.px,
-            "dpy2": ops.py,
-            "dX2": 0.5 * (ops.x + ops.y),
-            "dP2": 0.5 * (ops.px + ops.py),
-        }
-        for name, op in quads.items():
+        for name, op in _quadratures(ops).items():
             _, variance = expectation_and_variance(state, op)
             tracked[name].append(variance)
         tracked["vac_overlap"].append(abs(vacuum.inner(state)))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncsq import cli
+from ncsq import cli, fock, verifier
 from ncsq.cli import SweepSpec, format_complex, parse_complex, run, sweep
 
 
@@ -182,6 +182,38 @@ def test_check_supercritical_exits_one(capsys):
     assert witness["violated"] is True
     assert witness["product"] < witness["floor"]
     assert "SaturatedOrSuperCritical" in by_id["engine"]["error"]
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    real = fock.build_operator_set
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "build_operator_set", counting)
+    monkeypatch.setattr(verifier, "build_operator_set", counting)
+    return builds
+
+
+def test_check_builds_one_operator_set(capsys, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    code = run(["check", "--mu", "0.5", "--nu", "0.5", "--cutoff", "24",
+                "--r", "0.15", "--phi", "0.5", "--alpha", "0.3", "--beta", "0.1i"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("buffer", ["-1", "21"])
+def test_check_buffer_out_of_range_exits_two(capsys, monkeypatch, buffer):
+    builds = _count_builds(monkeypatch)
+    code = run(["check", "--mu", "0.5", "--nu", "0.5", "--cutoff", "20",
+                "--buffer=" + buffer])
+    assert code == 2
+    assert "[0, 20]" in capsys.readouterr().err
+    assert builds == []
 
 
 def test_check_bad_cutoff_exits_two(capsys):

@@ -6,10 +6,12 @@ phase-space matrices must give back the input), and the deformed vacuum
 against an SVD null-space oracle.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 from ncsq import (
     CutoffOutOfRange,
@@ -140,6 +142,50 @@ def test_phase_space_ops_invert_the_forward_map(theta, space20):
     assert np.abs(rec_b - b.matrix).max() < 1e-12
 
 
+def _dense_reference_ops(params, space):
+    """x, y, px, py, a_def and b_def by the original dense construction.
+
+    The 4x4 map is solved with the dense truncated ladder matrices stacked
+    as a 4 x dim**2 right-hand side, the solutions are hermitised as
+    matrices, and the deformed pair is assembled from them; the engine
+    now does all of this on coefficient 4-vectors instead.
+    """
+    side = space.cutoff + 1
+    ladder = np.diag(np.sqrt(np.arange(1.0, side)), k=1)
+    a = np.kron(ladder, np.eye(side)).astype(np.complex128)
+    b = np.kron(np.eye(side), ladder).astype(np.complex128)
+    hbar, kap, mu, nu = params.hbar, params.kappa, params.mu, params.nu
+    coeff = np.array([
+        [kap, 0.0, 0.0, mu / (2.0 * hbar)],
+        [0.0, -nu / (2.0 * kap * hbar), 1.0, 0.0],
+        [0.0, kap, -mu / (2.0 * hbar), 0.0],
+        [nu / (2.0 * kap * hbar), 0.0, 0.0, 1.0],
+    ])
+    scale = math.sqrt(0.5 * hbar) * params.lambda_denom
+    rhs = np.stack([
+        scale * (a + a.conj().T), scale * (a - a.conj().T) / 1j,
+        scale * (b + b.conj().T), scale * (b - b.conj().T) / 1j,
+    ]).reshape(4, -1)
+    sol = np.linalg.solve(coeff, rhs).reshape(4, space.dim, space.dim)
+    x, y, px, py = (0.5 * (m + m.conj().T) for m in sol)
+    c = (nu / mu) ** 0.25
+    d = (mu / nu) ** 0.25
+    pref = 1.0 / math.sqrt(2.0 * hbar)
+    return {"x": x, "y": y, "px": px, "py": py,
+            "a_def": pref * (c * x + 1j * d * px),
+            "b_def": pref * (c * y + 1j * d * py)}
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.5, 0.9])
+def test_csr_operators_match_dense_solve(theta, space12):
+    params = make_params(theta, theta, 1.0)
+    ops = build_operator_set(params, space12)
+    for name, want in _dense_reference_ops(params, space12).items():
+        got = getattr(ops, name).matrix
+        assert issparse(got), name
+        assert np.abs(got.toarray() - want).max() < 1e-13, name
+
+
 def test_phase_space_ops_hermitian(space20):
     for op in phase_space_ops(P05, space20):
         assert op.hermiticity_defect() < 1e-12
@@ -260,13 +306,22 @@ def test_deformed_vacuum_is_the_joint_null_direction():
         params = make_params(theta, theta, 1.0)
         space = make_space(14)
         ops = build_operator_set(params, space)
-        stacked = np.vstack([ops.a_def.matrix, ops.b_def.matrix])
+        stacked = np.vstack([ops.a_def.matrix.toarray(), ops.b_def.matrix.toarray()])
         _, sv, vt = np.linalg.svd(stacked)
         assert sv[-1] < 1e-12
         assert sv[-2] > 0.1
         kernel = vt[-1].conj()
         vac = deformed_vacuum(params, space, ops)
         assert abs(np.vdot(kernel, vac.vector)) > 1.0 - 1e-12
+
+
+def test_deformed_vacuum_refuses_an_open_fit(space12):
+    # a b_def whose a+ weight breaks the quadratic-coefficient system
+    ops = build_operator_set(P05, space12)
+    coeffs = ops.coeffs.copy()
+    coeffs[5, 1] += 0.1
+    with pytest.raises(SaturatedOrSuperCritical):
+        deformed_vacuum(P05, space12, dataclasses.replace(ops, coeffs=coeffs))
 
 
 def test_deformed_vacuum_annihilated(space30):
@@ -389,7 +444,7 @@ def test_space_mismatch_raises(space12, space20):
 def test_operator_algebra_helpers(space12):
     a, b = ordinary_mode_ops(space12)
     doubled = 2.0 * a
-    assert np.array_equal(doubled.matrix, 2.0 * a.matrix)
+    assert np.array_equal(doubled.matrix.toarray(), (2.0 * a.matrix).toarray())
     diff = (a + b) - b
     assert np.abs(diff.matrix - a.matrix).max() == 0.0
     assert (-a).matrix[1, 0] == -a.matrix[1, 0]

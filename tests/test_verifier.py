@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ncsq import (
+    BufferOutOfRange,
     ModeAmplitudes,
     SamplesTooFew,
     SqueezeParam,
@@ -17,6 +18,7 @@ from ncsq import (
     build_operator_set,
     convergence_probe,
     crosscheck_suite,
+    displacement_op,
     fit_mode_transform,
     identity_suite,
     make_params,
@@ -26,6 +28,7 @@ from ncsq import (
     supercritical_witness,
 )
 from ncsq.fock import _squeeze_generator
+from ncsq.verifier import _safe_block_max, _shift_blocks
 
 P05 = make_params(0.5, 0.5, 1.0)
 P00 = make_params(1e-200, 1e-200, 1.0)
@@ -123,6 +126,47 @@ def test_identity_suite_without_squeeze(space20):
                              SqueezeParam(0.0, 0.0))
     assert {r.check_id for r in reports} == IDENTITY_IDS
     assert all(r.passed for r in reports)
+
+
+def test_displacement_shift_blocks_match_dense_conjugation(space20):
+    """The expm_multiply route of displacement_property against the dense
+    route: the full unitary from matrix_exp, conjugating the annihilator."""
+    amps = ModeAmplitudes(0.5, 0.2j)
+    ops = build_operator_set(P05, space20)
+    idx = np.flatnonzero(space20.n_tot <= space20.cutoff - 5)
+    disp = displacement_op(P05, space20, amps, ops).matrix
+    eye = np.eye(space20.dim)
+    lams = (amps.alpha + 0.5j * amps.beta, amps.beta - 0.5j * amps.alpha)
+    blocks = _shift_blocks(ops, amps, idx)
+    for mode, lam, got in zip((ops.a_def, ops.b_def), lams, blocks):
+        m = mode.matrix.toarray()
+        want = (disp.conj().T @ m @ disp - m - lam * eye)[np.ix_(idx, idx)]
+        assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("buffer", [-1, 21])
+def test_suites_refuse_out_of_range_buffer(space20, buffer):
+    amps, z = ModeAmplitudes(0.1, 0.0), SqueezeParam(0.1, 0.0)
+    with pytest.raises(BufferOutOfRange, match=r"\[0, 20\]"):
+        identity_suite(P05, space20, amps, z, buffer=buffer)
+    with pytest.raises(BufferOutOfRange, match=r"\[0, 20\]"):
+        crosscheck_suite(P05, space20, [(amps, z)], buffer=buffer)
+
+
+def test_identity_suite_reports_at_the_buffer_range_edges(space12):
+    # buffer = cutoff leaves only |0,0>, where every span operator is zero:
+    # the suite must still report each class, not crash on the empty fit
+    for buffer in (0, space12.cutoff):
+        reports = identity_suite(P05, space12, ModeAmplitudes(0.1, 0.0),
+                                 SqueezeParam(0.1, 0.0), buffer=buffer)
+        assert {r.check_id for r in reports} == IDENTITY_IDS
+
+
+def test_safe_block_max_refuses_an_empty_block(space12):
+    ops = build_operator_set(P05, space12)
+    assert _safe_block_max(space12, ops.a_def.matrix, space12.cutoff) == 0.0
+    with pytest.raises(BufferOutOfRange):
+        _safe_block_max(space12, ops.a_def.matrix, space12.cutoff + 1)
 
 
 def test_identity_reports_carry_context(space20):
