@@ -18,9 +18,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -207,9 +205,7 @@ def sweep(spec: SweepSpec, quantity: str) -> RunReport:
     """Evaluate one analytic quantity over a grid of one variable.
 
     Rows carry the swept value, the quantity, both single-mode variance
-    gains, and strict ``gain < 1`` squeezing flags.  Work is spread over
-    a thread pool (capped by the NCSQ_THREADS environment variable) and
-    rows come back in grid order.
+    gains, and strict ``gain < 1`` squeezing flags, in grid order.
     """
 
     fixed = dict(spec.fixed)
@@ -248,28 +244,11 @@ def sweep(spec: SweepSpec, quantity: str) -> RunReport:
             "squeezed_px": gain_px < 1.0,
         }
 
-    grid = spec.grid()
-    workers = min(len(grid), _thread_cap())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, grid))
-    else:
-        rows = [one(v) for v in grid]
+    rows = [one(v) for v in spec.grid()]
     echo = {"mu": fixed.get("mu"), "nu": fixed.get("nu"), "hbar": hbar,
             "variable": spec.variable, "start": spec.start,
             "stop": spec.stop, "step": spec.step}
     return RunReport(command="sweep", params=echo, rows=rows)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("NCSQ_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        cap = os.cpu_count() or 1
-    return cap
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Three families of evidence that the two sides describe the same physics:
 
-* identity checks: commutator residuals, the displacement shift property,
-  the squeeze conjugation coefficients and eigenvalue relations, measured
-  directly on matrices over the safe subspace;
+* identity checks: commutator residuals, the displacement shift property
+  (as its c-number commutator), the squeeze conjugation coefficients and
+  eigenvalue relations, measured directly on matrices over the safe
+  subspace, where a single commutator is exact and a conjugation is not;
 * state crosschecks: overlaps and quadrature variances of concrete states,
   engine versus closed form;
 * Monte-Carlo overcompleteness: the weighted coherent-state integral of
@@ -178,39 +179,41 @@ def _quadratures(ops: OperatorSet) -> Dict[str, OperatorMatrix]:
     return dict(zip(_QUADRATURE_NAMES, (x, y, px, py, 0.5 * (x + y), 0.5 * (px + py))))
 
 
+def _commutator_residual(
+    left: OperatorMatrix, right: OperatorMatrix, want: complex, buffer: int
+) -> float:
+    """Safe-block max of [left, right] - want*1."""
+    space = left.space
+    eye = eye_array(space.dim, dtype=np.complex128, format="csr")
+    comm = commutator(left, right).matrix - want * eye
+    return _safe_block_max(space, comm, buffer)
+
+
 def algebra_residuals(
     ops: OperatorSet, buffer: int = DEFAULT_BUFFER
 ) -> Dict[str, float]:
     """Safe-subspace residuals of every defining commutation relation."""
-    space = ops.space
     p = ops.params
-    eye = eye_array(space.dim, dtype=np.complex128, format="csr")
-
-    def resid(left: OperatorMatrix, right: OperatorMatrix, want: complex) -> float:
-        comm = commutator(left, right).matrix - want * eye
-        return _safe_block_max(space, comm, buffer)
-
-    theta = p.theta
-    out = {
-        "xy": resid(ops.x, ops.y, 1j * p.mu),
-        "pxpy": resid(ops.px, ops.py, 1j * p.nu),
-        "xpx": resid(ops.x, ops.px, 1j * p.hbar),
-        "ypy": resid(ops.y, ops.py, 1j * p.hbar),
-        "xpy": resid(ops.x, ops.py, 0.0),
-        "ypx": resid(ops.y, ops.px, 0.0),
-        "a_adag": resid(ops.a_def, ops.a_def.dag(), 1.0),
-        "b_bdag": resid(ops.b_def, ops.b_def.dag(), 1.0),
-        "ab": resid(ops.a_def, ops.b_def, 0.0),
-        "a_bdag": resid(ops.a_def, ops.b_def.dag(), 1j * theta),
-        "b_adag": resid(ops.b_def, ops.a_def.dag(), -1j * theta),
-        "ord_a_adag": resid(ops.a_ord, ops.a_ord.dag(), 1.0),
-        "ord_b_bdag": resid(ops.b_ord, ops.b_ord.dag(), 1.0),
-        "ord_ab": resid(ops.a_ord, ops.b_ord, 0.0),
-        "ord_a_bdag": resid(ops.a_ord, ops.b_ord.dag(), 0.0),
-    }
     quads = _quadratures(ops)
-    out["XP"] = resid(quads["dX2"], quads["dP2"], 0.5j * p.hbar)
-    return out
+    relations = {
+        "xy": (ops.x, ops.y, 1j * p.mu),
+        "pxpy": (ops.px, ops.py, 1j * p.nu),
+        "xpx": (ops.x, ops.px, 1j * p.hbar),
+        "ypy": (ops.y, ops.py, 1j * p.hbar),
+        "xpy": (ops.x, ops.py, 0.0),
+        "ypx": (ops.y, ops.px, 0.0),
+        "a_adag": (ops.a_def, ops.a_def.dag(), 1.0),
+        "b_bdag": (ops.b_def, ops.b_def.dag(), 1.0),
+        "ab": (ops.a_def, ops.b_def, 0.0),
+        "a_bdag": (ops.a_def, ops.b_def.dag(), 1j * p.theta),
+        "b_adag": (ops.b_def, ops.a_def.dag(), -1j * p.theta),
+        "ord_a_adag": (ops.a_ord, ops.a_ord.dag(), 1.0),
+        "ord_b_bdag": (ops.b_ord, ops.b_ord.dag(), 1.0),
+        "ord_ab": (ops.a_ord, ops.b_ord, 0.0),
+        "ord_a_bdag": (ops.a_ord, ops.b_ord.dag(), 0.0),
+        "XP": (quads["dX2"], quads["dP2"], 0.5j * p.hbar),
+    }
+    return {key: _commutator_residual(*rel, buffer) for key, rel in relations.items()}
 
 
 def _span(ops: OperatorSet) -> List:
@@ -284,24 +287,6 @@ def _transform_distance(
     return max(abs(f - c) for f, c in zip(astuple(fitted), astuple(closed)))
 
 
-def _shift_blocks(
-    ops: OperatorSet, amps: ModeAmplitudes, idx: np.ndarray
-) -> List[np.ndarray]:
-    """D+ m D - m - lambda_m on the (idx, idx) block, for m = a_def, b_def.
-
-    D = exp(G) is applied to the block's basis columns as exponential-
-    times-matrix products: forward, then the annihilator, then backward.
-    """
-    gen = _displacement_generator(ops, amps).matrix
-    moved = expm_multiply(gen, eye_array(ops.space.dim, format="csc")[:, idx].toarray())
-    lams = analytic.coherent_eigenvalues(ops.params, amps)
-    return [
-        expm_multiply(-gen, mode.matrix @ moved)[idx]
-        - mode.matrix[idx][:, idx] - lam * np.eye(idx.size)
-        for mode, lam in zip((ops.a_def, ops.b_def), lams)
-    ]
-
-
 # identity class -> the algebra_residuals entries it reports
 _ALGEBRA_CLASSES = {
     "heisenberg_weyl": ("xy", "pxpy", "xpx", "ypy", "xpy", "ypx"),
@@ -323,8 +308,13 @@ def identity_suite(
     Classes: the phase-plane commutators, the deformed and ordinary boson
     algebras, the displacement shift property, the squeeze conjugation
     coefficients, eigenvalue relations of the constructed states, and the
-    collective-quadrature commutator.  Refuses a buffer outside
-    [0, cutoff] with BufferOutOfRange before building anything.
+    collective-quadrature commutator.  The shift D+ m D = m + lambda_m
+    holds exactly because [m, G] = lambda_m is a c-number for the
+    displacement generator G, so it is checked as that commutator on the
+    safe block.  Refuses a buffer outside [0, cutoff] with
+    BufferOutOfRange before building anything.  The eigenvalue states
+    keep make_state's default tail guard: at buffer = cutoff the caller's
+    buffer would count all population as tail and raise PopulationOverflow.
     """
     check_buffer(space, buffer)
     if ops is None:
@@ -337,15 +327,12 @@ def identity_suite(
     ]
 
     lam_a, lam_b = analytic.coherent_eigenvalues(params, amps)
-    # Conjugation by an exponential smears edge artifacts roughly 15
-    # levels into the interior (factorially damped), so this check needs
-    # a deeper margin than the single-commutator ones.
-    conj_buffer = max(buffer, min(15, space.cutoff - 4))
-    shifts = _shift_blocks(ops, amps, _safe_indices(space, conj_buffer))
+    gen = _displacement_generator(ops, amps)
     reports.append(
         _report(
             "displacement_property",
-            max(float(np.abs(block).max()) for block in shifts),
+            max(_commutator_residual(ops.a_def, gen, lam_a, buffer),
+                _commutator_residual(ops.b_def, gen, lam_b, buffer)),
             OPERATOR_TOL,
             alpha=str(amps.alpha),
             beta=str(amps.beta),
@@ -421,19 +408,20 @@ def crosscheck_suite(
     For each (amplitudes, squeeze) case: the overlaps of the state against
     the deformed vacuum and against the coherent state with the same
     amplitudes, and the six quadrature variances, all compared to their
-    closed forms at relative tolerance 1e-6.  Refuses a buffer outside
+    closed forms at relative tolerance 1e-6.  Every state is built under
+    the tail guard at the caller's buffer.  Refuses a buffer outside
     [0, cutoff] with BufferOutOfRange before building anything.
     """
     check_buffer(space, buffer)
     if ops is None:
         ops = build_operator_set(params, space)
     vac_amps = ModeAmplitudes(0.0, 0.0)
-    vacuum = make_state(params, space, ops=ops)
+    vacuum = make_state(params, space, ops=ops, buffer=buffer)
     quads = _quadratures(ops)
 
     reports: List[ResidualReport] = []
     for index, (amps, z) in enumerate(cases):
-        state = make_state(params, space, amps, z, ops=ops)
+        state = make_state(params, space, amps, z, ops=ops, buffer=buffer)
         case_meta = {
             "case": index,
             "alpha": str(amps.alpha),
@@ -449,7 +437,7 @@ def crosscheck_suite(
         else:
             want_vac = analytic.squeezed_overlap(params, vac_amps, amps, z)
             want_self = analytic.squeezed_overlap(params, amps, amps, z)
-        coherent_bra = make_state(params, space, amps, ops=ops)
+        coherent_bra = make_state(params, space, amps, ops=ops, buffer=buffer)
         overlap_resid = max(
             _relative_error(vacuum.inner(state), want_vac),
             _relative_error(coherent_bra.inner(state), want_self),

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsq import (
     BufferOutOfRange,
@@ -16,6 +18,7 @@ from ncsq import (
     algebra_residuals,
     bogoliubov_coefficients,
     build_operator_set,
+    coherent_eigenvalues,
     convergence_probe,
     crosscheck_suite,
     displacement_op,
@@ -27,8 +30,8 @@ from ncsq import (
     squeeze_op,
     supercritical_witness,
 )
-from ncsq.fock import _squeeze_generator
-from ncsq.verifier import _safe_block_max, _shift_blocks
+from ncsq.fock import PopulationOverflow, _displacement_generator, _squeeze_generator
+from ncsq.verifier import _commutator_residual, _safe_block_max
 
 P05 = make_params(0.5, 0.5, 1.0)
 P00 = make_params(1e-200, 1e-200, 1.0)
@@ -128,20 +131,54 @@ def test_identity_suite_without_squeeze(space20):
     assert all(r.passed for r in reports)
 
 
-def test_displacement_shift_blocks_match_dense_conjugation(space20):
-    """The expm_multiply route of displacement_property against the dense
-    route: the full unitary from matrix_exp, conjugating the annihilator."""
+def test_displacement_shift_matches_dense_conjugation(space20):
+    """The dense route is the oracle: D+ m D - m - lambda_m from the full
+    unitary vanishes on a deep block, the commutator report reads zero
+    there too, and a wrong lambda shows up at its own size."""
     amps = ModeAmplitudes(0.5, 0.2j)
     ops = build_operator_set(P05, space20)
-    idx = np.flatnonzero(space20.n_tot <= space20.cutoff - 5)
+    idx = np.flatnonzero(space20.n_tot <= 5)
     disp = displacement_op(P05, space20, amps, ops).matrix
     eye = np.eye(space20.dim)
     lams = (amps.alpha + 0.5j * amps.beta, amps.beta - 0.5j * amps.alpha)
-    blocks = _shift_blocks(ops, amps, idx)
-    for mode, lam, got in zip((ops.a_def, ops.b_def), lams, blocks):
+    for mode, lam in zip((ops.a_def, ops.b_def), lams):
         m = mode.matrix.toarray()
-        want = (disp.conj().T @ m @ disp - m - lam * eye)[np.ix_(idx, idx)]
-        assert np.abs(got - want).max() < 1e-12
+        shift = (disp.conj().T @ m @ disp - m - lam * eye)[np.ix_(idx, idx)]
+        assert np.abs(shift).max() < 1e-8
+
+    reports = identity_suite(P05, space20, amps, SqueezeParam(0.0, 0.0), ops=ops)
+    by_id = {r.check_id: r for r in reports}
+    assert by_id["displacement_property"].residual <= 1e-12
+
+    gen = _displacement_generator(ops, amps)
+    wrong = _commutator_residual(ops.a_def, gen, lams[0] - 1e-3, 5)
+    assert wrong == pytest.approx(1e-3, rel=1e-8)
+
+
+def test_identity_suite_at_a_large_displacement_and_cutoff():
+    # |alpha| 0.7 sits well inside what the tail guard admits at cutoff 40
+    p = make_params(0.8, 0.8, 1.0)
+    reports = identity_suite(p, make_space(40), ModeAmplitudes(0.7j, 0.0),
+                             SqueezeParam(0.2, 0.5))
+    assert {r.check_id for r in reports} == IDENTITY_IDS
+    for report in reports:
+        assert report.passed, (report.check_id, report.residual)
+
+
+_BOX = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(0.0, 0.95), re_a=_BOX, im_a=_BOX, re_b=_BOX, im_b=_BOX)
+def test_displacement_commutator_is_the_closed_form_shift(
+        space12, theta, re_a, im_a, re_b, im_b):
+    p = make_params(theta or 1e-200, theta or 1e-200, 1.0)
+    ops = build_operator_set(p, space12)
+    amps = ModeAmplitudes(complex(re_a, im_a), complex(re_b, im_b))
+    gen = _displacement_generator(ops, amps)
+    lam_a, lam_b = coherent_eigenvalues(p, amps)
+    assert _commutator_residual(ops.a_def, gen, lam_a, 5) <= 1e-12
+    assert _commutator_residual(ops.b_def, gen, lam_b, 5) <= 1e-12
 
 
 @pytest.mark.parametrize("buffer", [-1, 21])
@@ -223,6 +260,21 @@ def test_crosscheck_metadata_names_cases(space30):
     ids = [r.check_id for r in reports]
     assert ids == ["overlap[0]", "variance[0]", "overlap[1]", "variance[1]"]
     assert reports[2].metadata["r"] == 0.2
+
+
+@pytest.mark.parametrize("buffer", [0, 2, 5, 8])
+def test_crosscheck_guards_states_at_the_callers_buffer(space12, buffer):
+    cases = [(ModeAmplitudes(1.2, 0.0), None)]
+    with pytest.raises(PopulationOverflow, match=rf"within {buffer} quanta of cutoff 12"):
+        crosscheck_suite(P05, space12, cases, buffer=buffer)
+
+
+def test_crosscheck_admits_what_the_callers_buffer_admits(space12):
+    cases = [(ModeAmplitudes(0.7, 0.0), None)]
+    reports = crosscheck_suite(P05, space12, cases, buffer=2)
+    assert all(r.passed for r in reports)
+    with pytest.raises(PopulationOverflow, match="within 5 quanta"):
+        crosscheck_suite(P05, space12, cases, buffer=5)
 
 
 # ---------------------------------------------------------------------------
