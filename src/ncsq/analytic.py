@@ -248,8 +248,11 @@ def _coherent_overlap_raw(theta, a1, b1, a2, b2):
     return np.exp(exponent)
 
 
-def _squeezed_overlap_raw(theta, a1, b1, a2, b2, r, phi):
-    """<a1, b1 | a2, b2; z> with the bra coherent and the ket squeezed."""
+def _squeezed_overlap_exponent(theta, a1, b1, a2, b2, r, phi):
+    """log <a1, b1 | a2, b2; z>, the log of the 1/sqrt(cosh cosh)
+    prefactor included; at r = 0 it is the coherent exponent.  For fixed
+    (a1, b1) it is a polynomial of degree two in the real and imaginary
+    parts of (a2, b2)."""
     rp = r * (1.0 + theta)
     rm = r * (1.0 - theta)
     chp = np.cosh(rp)
@@ -261,7 +264,7 @@ def _squeezed_overlap_raw(theta, a1, b1, a2, b2, r, phi):
     a2c = np.conjugate(a2)
     b2c = np.conjugate(b2)
 
-    prefactor = 1.0 / np.sqrt(chp * chm)
+    log_prefactor = -0.5 * np.log(chp * chm)
     norm_term = -0.5 * (
         a2c * a2 + b2c * b2 + a1c * a1 + b1c * b1
         + 1j * theta * (a2c * b2 - b2c * a2 + a1c * b1 - b1c * a1)
@@ -277,7 +280,48 @@ def _squeezed_overlap_raw(theta, a1, b1, a2, b2, r, phi):
         0.25 * (1.0 + theta) * thp * (a1c - 1j * b1c) ** 2
         - 0.25 * (1.0 - theta) * thm * (a1c + 1j * b1c) ** 2
     )
-    return prefactor * np.exp(norm_term + branch_p + branch_m + ket_quad + bra_quad)
+    return log_prefactor + norm_term + branch_p + branch_m + ket_quad + bra_quad
+
+
+def _squeezed_overlap_raw(theta, a1, b1, a2, b2, r, phi):
+    """<a1, b1 | a2, b2; z> with the bra coherent and the ket squeezed."""
+    return np.exp(_squeezed_overlap_exponent(theta, a1, b1, a2, b2, r, phi))
+
+
+def _identity_integrand_coefficients(
+    theta: float, psi1: ModeAmplitudes, psi2: ModeAmplitudes, r: float, phi: float
+) -> Tuple[complex, np.ndarray, np.ndarray]:
+    """(c, w, Q) with log F = c + w.g + g.Q.g, F the sampled integrand of
+    the resolution of the identity.
+
+    F = (1 - theta**2) <psi1|alpha, beta; z> <alpha, beta; z|psi2>
+    exp(|alpha|**2 + |beta|**2) at (alpha, beta) = sqrt(1/2) (g0 + i g1,
+    g2 + i g3).  log F is a polynomial of degree two in g, so its values
+    at 0, +-e_i and e_i + e_j (15 points) give the coefficients exactly.
+    The |alpha|**2 + |beta|**2 terms cancel, which leaves Q real:
+    2 theta Im(conj(alpha) beta) plus twice the real part of the ket's
+    squeeze term.  Q is returned complex; its imaginary part is rounding.
+    """
+    log_weight = math.log(1.0 - theta * theta)
+
+    def log_f(g: np.ndarray) -> complex:
+        alpha = math.sqrt(0.5) * complex(g[0], g[1])
+        beta = math.sqrt(0.5) * complex(g[2], g[3])
+        left = _squeezed_overlap_exponent(theta, psi1.alpha, psi1.beta, alpha, beta, r, phi)
+        right = _squeezed_overlap_exponent(theta, psi2.alpha, psi2.beta, alpha, beta, r, phi)
+        return complex(log_weight + left + np.conjugate(right)
+                       + abs(alpha) ** 2 + abs(beta) ** 2)
+
+    unit = np.eye(4)
+    c = log_f(np.zeros(4))
+    plus = [log_f(e) for e in unit]
+    minus = [log_f(-e) for e in unit]
+    w = np.array([0.5 * (hi - lo) for hi, lo in zip(plus, minus)])
+    quad = np.diag([0.5 * (hi + lo) - c for hi, lo in zip(plus, minus)])
+    for i in range(4):
+        for j in range(i + 1, 4):
+            quad[i, j] = quad[j, i] = 0.5 * (log_f(unit[i] + unit[j]) - plus[i] - plus[j] + c)
+    return c, w, quad
 
 
 def coherent_overlap(params: NcParams, bra: ModeAmplitudes, ket: ModeAmplitudes) -> complex:

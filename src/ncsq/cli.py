@@ -415,6 +415,7 @@ def _cmd_overcompleteness(ns: argparse.Namespace) -> Tuple[RunReport, bool]:
             "reference_im": rep.reference.imag,
             "stderr": rep.stderr,
             "z_score": rep.z_score,
+            "ess": rep.ess,
             "samples": rep.samples,
             "seed": rep.seed,
             "passed": rep.passed,
@@ -638,6 +639,7 @@ _USER_ERRORS = (
     fock.SaturatedOrSuperCritical,
     verifier.ThetaAtOrAboveOne,
     verifier.SamplesTooFew,
+    verifier.SamplesTooMany,
     ValueError,
 )
 

@@ -65,8 +65,9 @@ class NcParams:
     kappa:
         (1 + sqrt(1 - mu*nu/hbar**2))/2, or None when mu*nu > hbar**2.
     lambda_denom:
-        kappa - mu*nu/(4*kappa*hbar**2), the normalisation denominator of
-        the boson map; algebraically equal to sqrt(1 - theta**2).  None
+        sqrt(1 - mu*nu/hbar**2), the normalisation denominator of the
+        boson map, algebraically equal to kappa - mu*nu/(4*kappa*hbar**2);
+        computed directly because that form cancels near saturation.  None
         whenever kappa is.
     constraint_class:
         Classification of mu*nu against hbar**2.
@@ -117,7 +118,7 @@ def make_params(mu: float, nu: float, hbar: float = 1.0) -> NcParams:
     lambda_denom: Optional[float]
     if ratio <= 1.0:
         kappa = 0.5 * (1.0 + math.sqrt(1.0 - ratio))
-        lambda_denom = kappa - ratio / (4.0 * kappa)
+        lambda_denom = math.sqrt(1.0 - ratio)
     else:
         kappa = None
         lambda_denom = None

@@ -51,11 +51,13 @@ from .params import NcParams
 __all__ = [
     "COMMUTATOR_TOL",
     "CROSSCHECK_TOL",
+    "MC_MAX_SAMPLES",
     "MC_MAX_Z_SCORE",
     "OPERATOR_TOL",
     "McReport",
     "ResidualReport",
     "SamplesTooFew",
+    "SamplesTooMany",
     "SupercriticalWitness",
     "ThetaAtOrAboveOne",
     "algebra_residuals",
@@ -72,6 +74,14 @@ OPERATOR_TOL = 1e-8
 CROSSCHECK_TOL = 1e-6
 MC_MAX_Z_SCORE = 4.0
 MC_MIN_SAMPLES = 1000
+MC_MAX_SAMPLES = 10_000_000
+
+# The Monte Carlo holds the (4, samples) float64 draws and the complex128
+# integrand values: 48 bytes per sample.
+_MC_BYTES_PER_SAMPLE = 48
+# Samples per chunk of the integrand evaluation; a chunk's temporaries
+# stay in cache.
+_MC_CHUNK = 1 << 15
 
 
 class ThetaAtOrAboveOne(ValueError):
@@ -80,6 +90,10 @@ class ThetaAtOrAboveOne(ValueError):
 
 class SamplesTooFew(ValueError):
     """Monte-Carlo sample count below the statistical minimum."""
+
+
+class SamplesTooMany(ValueError):
+    """Monte-Carlo sample count above the supported maximum."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +109,13 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class McReport:
-    """One Monte-Carlo overcompleteness check."""
+    """One Monte-Carlo overcompleteness check.
+
+    ``ess`` is Kish's effective sample size (sum |f|)**2 / sum |f|**2 of
+    the integrand magnitudes |f|: equal to ``samples`` for a flat
+    integrand, and small when a few samples carry the estimate, in which
+    case ``stderr`` (and the z-score) is not to be trusted.
+    """
 
     estimate: complex
     reference: complex
@@ -103,6 +123,7 @@ class McReport:
     samples: int
     seed: int
     z_score: float
+    ess: float
 
     @property
     def passed(self) -> bool:
@@ -482,7 +503,15 @@ def overcompleteness_mc(
     importance correction for that density.  The reference value is the
     closed-form overlap <psi1|psi2>.  With a squeeze given, the sampled
     family consists of squeezed states instead; the identity (and hence
-    the reference) is unchanged.
+    the reference) is unchanged.  No squeeze is the squeezed family at
+    r = 0.
+
+    The log of the integrand is a quadratic form in the four real draws
+    (analytic._identity_integrand_coefficients), so each sample costs one
+    real exp and one cos and sin, evaluated over chunks of _MC_CHUNK
+    samples.  A call
+    holds 48 bytes per sample; more than MC_MAX_SAMPLES samples are
+    refused with SamplesTooMany before anything is allocated.
     """
     theta = params.theta
     if theta >= 1.0:
@@ -491,33 +520,35 @@ def overcompleteness_mc(
         )
     if samples < MC_MIN_SAMPLES:
         raise SamplesTooFew(f"need at least {MC_MIN_SAMPLES} samples, got {samples}")
+    if samples > MC_MAX_SAMPLES:
+        raise SamplesTooMany(
+            f"at most {MC_MAX_SAMPLES} samples are supported, got {samples} "
+            f"(about {samples * _MC_BYTES_PER_SAMPLE / 1e9:.1f} GB)"
+        )
 
-    weight_prefactor = 1.0 - theta * theta
+    r, phi = (0.0, 0.0) if z is None else (z.r, z.phi)
+    draws = np.empty((4, samples))
+    values = np.empty(samples, dtype=np.complex128)
     reports: List[McReport] = []
     for index, (psi1, psi2) in enumerate(probes):
         rng = np.random.default_rng([seed, index])
-        draws = rng.normal(0.0, math.sqrt(0.5), size=(4, samples))
-        alpha = draws[0] + 1j * draws[1]
-        beta = draws[2] + 1j * draws[3]
-        gauss_weight = np.exp(np.abs(alpha) ** 2 + np.abs(beta) ** 2)
-
-        if z is None or z.r == 0.0:
-            left = analytic._coherent_overlap_raw(
-                theta, psi1.alpha, psi1.beta, alpha, beta
-            )
-            right = analytic._coherent_overlap_raw(
-                theta, alpha, beta, psi2.alpha, psi2.beta
-            )
-        else:
-            left = analytic._squeezed_overlap_raw(
-                theta, psi1.alpha, psi1.beta, alpha, beta, z.r, z.phi
-            )
-            right = np.conjugate(
-                analytic._squeezed_overlap_raw(
-                    theta, psi2.alpha, psi2.beta, alpha, beta, z.r, z.phi
-                )
-            )
-        values = weight_prefactor * left * right * gauss_weight
+        rng.standard_normal(out=draws)
+        c, w, quad = analytic._identity_integrand_coefficients(theta, psi1, psi2, r, phi)
+        linear = np.stack([w.real, w.imag])
+        quad = quad.real
+        sum_abs = sum_sq = 0.0
+        for start in range(0, samples, _MC_CHUNK):
+            g = draws[:, start:start + _MC_CHUNK]
+            re, im = linear @ g
+            re += np.einsum("ij,ij->j", g, quad @ g)
+            re += c.real
+            im += c.imag
+            magnitude = np.exp(re, out=re)
+            block = values[start:start + _MC_CHUNK]
+            np.multiply(magnitude, np.cos(im), out=block.real)
+            np.multiply(magnitude, np.sin(im), out=block.imag)
+            sum_abs += float(magnitude.sum())
+            sum_sq += float(magnitude @ magnitude)
 
         estimate = complex(values.mean())
         spread = (values.real.var(ddof=1) + values.imag.var(ddof=1)) / samples
@@ -536,6 +567,7 @@ def overcompleteness_mc(
                 samples=samples,
                 seed=seed,
                 z_score=z_score,
+                ess=sum_abs * sum_abs / sum_sq,
             )
         )
     return reports

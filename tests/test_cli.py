@@ -243,6 +243,18 @@ def test_overcompleteness_guards(capsys):
     assert run(["overcompleteness", "--natural", "--samples", "5000"]) == 2
     assert run(["overcompleteness", "--mu", "0.3", "--nu", "0.3",
                 "--samples", "300"]) == 2
+    assert run(["overcompleteness", "--mu", "0.3", "--nu", "0.3",
+                "--samples", "10000001"]) == 2
+    assert "10000000" in capsys.readouterr().err
+
+
+def test_overcompleteness_rows_carry_effective_sample_size(capsys):
+    argv = ["overcompleteness", "--mu", "0.3", "--nu", "0.3",
+            "--samples", "5000", "--seed", "9"]
+    code, header, rows = run_ndjson(capsys, argv)
+    assert code == 0
+    assert header["schema"] == 1
+    assert all(0.0 < row["ess"] <= row["samples"] for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Parameter derivation, constraint classification and input validation."""
 
+import decimal
 import math
 
 import pytest
@@ -61,6 +62,18 @@ def test_lambda_denom_equals_sqrt_one_minus_theta_sq():
         worst = max(worst, ulp_between(p.lambda_denom,
                                        math.sqrt(1.0 - theta * theta)))
     assert worst <= 8.0
+
+
+def test_lambda_denom_near_saturation_against_decimal_reference():
+    """sqrt(1 - mu*nu/hbar**2) within 2 ulp of a 50-digit reference where
+    1 - theta**2 is 1e-8 .. 1e-14.  With nu = hbar = 1, mu*nu/hbar**2 is
+    mu exactly, so the reference measures the formula alone."""
+    decimal.getcontext().prec = 50
+    for gap in (1e-8, 1e-10, 1e-12, 1e-14):
+        mu = 1.0 - gap
+        p = make_params(mu, 1.0, 1.0)
+        want = float((1 - decimal.Decimal(mu)).sqrt())
+        assert ulp_between(p.lambda_denom, want) <= 2.0, gap
 
 
 def test_theta_is_scale_invariant():

@@ -12,6 +12,7 @@ from ncsq import (
     BufferOutOfRange,
     ModeAmplitudes,
     SamplesTooFew,
+    SamplesTooMany,
     SqueezeParam,
     ThetaAtOrAboveOne,
     adjoint_mode_transform,
@@ -30,8 +31,14 @@ from ncsq import (
     squeeze_op,
     supercritical_witness,
 )
+from ncsq import analytic
 from ncsq.fock import PopulationOverflow, _displacement_generator, _squeeze_generator
-from ncsq.verifier import _commutator_residual, _safe_block_max
+from ncsq.verifier import (
+    MC_MAX_SAMPLES,
+    _MC_CHUNK,
+    _commutator_residual,
+    _safe_block_max,
+)
 
 P05 = make_params(0.5, 0.5, 1.0)
 P00 = make_params(1e-200, 1e-200, 1.0)
@@ -324,6 +331,93 @@ def test_mc_input_guards():
         overcompleteness_mc(make_params(2.0, 2.0, 1.0), [(VAC, VAC)], 10_000, 1)
     with pytest.raises(SamplesTooFew):
         overcompleteness_mc(P05, [(VAC, VAC)], 999, 1)
+    with pytest.raises(SamplesTooMany, match="about 0.5 GB"):
+        overcompleteness_mc(P05, [(VAC, VAC)], MC_MAX_SAMPLES + 1, 1)
+
+
+def _three_exp_mc(params, probes, samples, seed, z=None):
+    """Estimates and stderrs from the integrand as a product of three
+    exponentials over the whole sample array: two overlaps and the
+    importance weight, each evaluated on its own."""
+    theta = params.theta
+    out = []
+    for index, (psi1, psi2) in enumerate(probes):
+        rng = np.random.default_rng([seed, index])
+        draws = rng.normal(0.0, math.sqrt(0.5), size=(4, samples))
+        alpha = draws[0] + 1j * draws[1]
+        beta = draws[2] + 1j * draws[3]
+        gauss_weight = np.exp(np.abs(alpha) ** 2 + np.abs(beta) ** 2)
+        if z is None:
+            left = analytic._coherent_overlap_raw(theta, psi1.alpha, psi1.beta, alpha, beta)
+            right = analytic._coherent_overlap_raw(theta, alpha, beta, psi2.alpha, psi2.beta)
+        else:
+            left = analytic._squeezed_overlap_raw(
+                theta, psi1.alpha, psi1.beta, alpha, beta, z.r, z.phi)
+            right = np.conjugate(analytic._squeezed_overlap_raw(
+                theta, psi2.alpha, psi2.beta, alpha, beta, z.r, z.phi))
+        values = (1.0 - theta * theta) * left * right * gauss_weight
+        spread = (values.real.var(ddof=1) + values.imag.var(ddof=1)) / samples
+        out.append((complex(values.mean()), math.sqrt(spread)))
+    return out
+
+
+MC_ORACLE_PROBES = [(PROBE, ModeAmplitudes(0.5, 0.5)),
+                    (ModeAmplitudes(0.5, 0.5), ModeAmplitudes(-0.5, 0.3j))]
+
+
+@pytest.mark.parametrize("samples", [1000, _MC_CHUNK - 1, _MC_CHUNK + 1, 5 * _MC_CHUNK // 2])
+@pytest.mark.parametrize("theta", [0.3, 0.6, 0.9])
+def test_mc_fused_integrand_matches_three_exp_oracle(theta, samples):
+    p = make_params(theta, theta, 1.0)
+    for z in (None, SqueezeParam(0.3, 0.8)):
+        got = overcompleteness_mc(p, MC_ORACLE_PROBES, samples, 11, z=z)
+        want = _three_exp_mc(p, MC_ORACLE_PROBES, samples, 11, z=z)
+        for rep, (estimate, stderr) in zip(got, want):
+            assert abs(rep.estimate - estimate) <= 1e-12 * abs(estimate)
+            assert abs(rep.stderr - stderr) <= 1e-12 * stderr
+
+
+_AMP = st.floats(-1.5, 1.5)
+_DRAW = st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(0.0, 0.95), r=st.sampled_from([0.0, 0.05, 0.3, 0.8]),
+       phi=st.floats(-math.pi, math.pi), amps=st.lists(_AMP, min_size=8, max_size=8),
+       g=st.lists(_DRAW, min_size=4, max_size=4))
+def test_log_integrand_is_the_polarized_quadratic_form(theta, r, phi, amps, g):
+    psi1 = ModeAmplitudes(complex(amps[0], amps[1]), complex(amps[2], amps[3]))
+    psi2 = ModeAmplitudes(complex(amps[4], amps[5]), complex(amps[6], amps[7]))
+    c, w, quad = analytic._identity_integrand_coefficients(theta, psi1, psi2, r, phi)
+    assert np.abs(quad.imag).max() <= 1e-14
+    g = np.array(g)
+    fused = np.exp(c + w @ g + g @ quad.real @ g)
+
+    alpha = math.sqrt(0.5) * complex(g[0], g[1])
+    beta = math.sqrt(0.5) * complex(g[2], g[3])
+    if r == 0.0:
+        left = analytic._coherent_overlap_raw(theta, psi1.alpha, psi1.beta, alpha, beta)
+        right = analytic._coherent_overlap_raw(theta, alpha, beta, psi2.alpha, psi2.beta)
+    else:
+        left = analytic._squeezed_overlap_raw(theta, psi1.alpha, psi1.beta, alpha, beta, r, phi)
+        right = np.conjugate(
+            analytic._squeezed_overlap_raw(theta, psi2.alpha, psi2.beta, alpha, beta, r, phi))
+    want = (1.0 - theta * theta) * left * right * math.exp(abs(alpha) ** 2 + abs(beta) ** 2)
+    assert abs(fused - want) <= 1e-12 * abs(want)
+
+
+def test_mc_effective_sample_size():
+    p = make_params(0.6, 0.6, 1.0)
+    for z in (None, SqueezeParam(0.3, 0.8)):
+        first = overcompleteness_mc(p, MC_ORACLE_PROBES, 20_000, 7, z=z)
+        second = overcompleteness_mc(p, MC_ORACLE_PROBES, 20_000, 7, z=z)
+        for a, b in zip(first, second):
+            assert 0.0 < a.ess <= a.samples
+            assert a.ess == b.ess
+    # a flat integrand counts every sample: <0|alpha, beta><alpha, beta|0>
+    # times the weight is the constant 1 - theta**2 at theta = 0
+    flat = overcompleteness_mc(P00, [(VAC, VAC)], 5000, 3)[0]
+    assert flat.ess == pytest.approx(5000, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
