@@ -13,9 +13,9 @@ Three families of evidence that the two sides describe the same physics:
   compared against the closed-form overlap it must reproduce.
 
 Every result is a small immutable report carrying its residual, tolerance
-and enough metadata to rerun it.  Stochastic checks derive one child seed
-per case from (master seed, case index), so results do not depend on
-execution order.
+and enough metadata to rerun it.  The Monte Carlo draws one stream per
+call from its seed and shares it among the probes of the call, so a
+probe's result does not depend on the other probes or their order.
 """
 
 from __future__ import annotations
@@ -74,14 +74,15 @@ OPERATOR_TOL = 1e-8
 CROSSCHECK_TOL = 1e-6
 MC_MAX_Z_SCORE = 4.0
 MC_MIN_SAMPLES = 1000
+# The Monte Carlo streams its draws, so its memory does not grow with the
+# sample count; this cap bounds the run time of one call.
 MC_MAX_SAMPLES = 10_000_000
 
-# The Monte Carlo holds the (4, samples) float64 draws and the complex128
-# integrand values: 48 bytes per sample.
-_MC_BYTES_PER_SAMPLE = 48
-# Samples per chunk of the integrand evaluation; a chunk's temporaries
-# stay in cache.
+# Samples per chunk of the Monte Carlo.  It fixes the random stream: chunk
+# k is standard_normal((4, n_k)) from the call's generator.
 _MC_CHUNK = 1 << 15
+# Index pairs (i <= j) of the quadratic features g_i g_j.
+_MC_PAIRS = np.triu_indices(4)
 
 
 class ThetaAtOrAboveOne(ValueError):
@@ -506,12 +507,18 @@ def overcompleteness_mc(
     the reference) is unchanged.  No squeeze is the squeezed family at
     r = 0.
 
-    The log of the integrand is a quadratic form in the four real draws
-    (analytic._identity_integrand_coefficients), so each sample costs one
-    real exp and one cos and sin, evaluated over chunks of _MC_CHUNK
-    samples.  A call
-    holds 48 bytes per sample; more than MC_MAX_SAMPLES samples are
-    refused with SamplesTooMany before anything is allocated.
+    All probes of a call share one stream of draws from
+    default_rng(seed), taken in chunks of _MC_CHUNK samples, so a probe's
+    result does not depend on the other probes or their order.  The log
+    of each probe's integrand is a quadratic form in the four real draws
+    (analytic._identity_integrand_coefficients), so one GEMM of the
+    stacked coefficients against the chunk's 15 features (1, g_i,
+    g_i g_j) gives every probe's log-integrand, and each sample then
+    costs one real exp and one cos and sin per probe.  The chunk means
+    and sums of squared deviations are merged as they come (Chan et al.'s
+    pairwise update), so memory grows with the chunk and the probe count,
+    not with the samples.  More than MC_MAX_SAMPLES samples are refused
+    with SamplesTooMany.
     """
     theta = params.theta
     if theta >= 1.0:
@@ -523,36 +530,61 @@ def overcompleteness_mc(
     if samples > MC_MAX_SAMPLES:
         raise SamplesTooMany(
             f"at most {MC_MAX_SAMPLES} samples are supported, got {samples} "
-            f"(about {samples * _MC_BYTES_PER_SAMPLE / 1e9:.1f} GB)"
+            f"(the cap bounds the run time; memory does not grow with the samples)"
         )
+    if not probes:
+        return []
 
     r, phi = (0.0, 0.0) if z is None else (z.r, z.phi)
-    draws = np.empty((4, samples))
-    values = np.empty(samples, dtype=np.complex128)
+    rows = []
+    for psi1, psi2 in probes:
+        c, w, quad = analytic._identity_integrand_coefficients(theta, psi1, psi2, r, phi)
+        # g.Q.g counts each off-diagonal pair twice
+        pairs = (2.0 * quad.real - np.diag(quad.real.diagonal()))[_MC_PAIRS]
+        rows.append(np.concatenate([[c], w, pairs]))
+    table = np.array(rows)
+    # real rows, then imaginary rows: one GEMM gives log F of every probe
+    weights = np.vstack([table.real, table.imag])
+    count = len(probes)
+
+    rng = np.random.default_rng(seed)
+    mean = np.zeros((2, count))
+    sq_dev = np.zeros(count)
+    sum_abs = np.zeros(count)
+    sum_sq = np.zeros(count)
+    for start in range(0, samples, _MC_CHUNK):
+        n = min(_MC_CHUNK, samples - start)
+        # rows 1, g_i, g_i g_j; drawing into rows 1..4 is the same stream
+        # as standard_normal((4, n))
+        features = np.empty((15, n))
+        features[0] = 1.0
+        g = features[1:5]
+        rng.standard_normal(out=g)
+        np.multiply(g[_MC_PAIRS[0]], g[_MC_PAIRS[1]], out=features[5:])
+        log_f = weights @ features
+        magnitude, phase = log_f[:count], log_f[count:]
+        np.exp(magnitude, out=magnitude)
+        sum_abs += magnitude.sum(axis=1)
+        sum_sq += np.einsum("pi,pi->p", magnitude, magnitude)
+        # overwrite log_f with the real and imaginary parts of F
+        cosine = np.cos(phase)
+        np.sin(phase, out=phase)
+        phase *= magnitude
+        magnitude *= cosine
+        parts = log_f.reshape(2, count, n)
+
+        # merge the chunk's mean and squared deviations (Chan et al.)
+        chunk_mean = parts.mean(axis=2)
+        parts -= chunk_mean[:, :, None]
+        delta = chunk_mean - mean
+        mean += delta * (n / (start + n))
+        sq_dev += np.einsum("kpi,kpi->p", parts, parts)
+        sq_dev += np.einsum("kp,kp->p", delta, delta) * (start * n / (start + n))
+
     reports: List[McReport] = []
     for index, (psi1, psi2) in enumerate(probes):
-        rng = np.random.default_rng([seed, index])
-        rng.standard_normal(out=draws)
-        c, w, quad = analytic._identity_integrand_coefficients(theta, psi1, psi2, r, phi)
-        linear = np.stack([w.real, w.imag])
-        quad = quad.real
-        sum_abs = sum_sq = 0.0
-        for start in range(0, samples, _MC_CHUNK):
-            g = draws[:, start:start + _MC_CHUNK]
-            re, im = linear @ g
-            re += np.einsum("ij,ij->j", g, quad @ g)
-            re += c.real
-            im += c.imag
-            magnitude = np.exp(re, out=re)
-            block = values[start:start + _MC_CHUNK]
-            np.multiply(magnitude, np.cos(im), out=block.real)
-            np.multiply(magnitude, np.sin(im), out=block.imag)
-            sum_abs += float(magnitude.sum())
-            sum_sq += float(magnitude @ magnitude)
-
-        estimate = complex(values.mean())
-        spread = (values.real.var(ddof=1) + values.imag.var(ddof=1)) / samples
-        stderr = float(math.sqrt(spread))
+        estimate = complex(mean[0, index], mean[1, index])
+        stderr = float(math.sqrt(sq_dev[index] / (samples - 1) / samples))
         reference = analytic.coherent_overlap(params, psi1, psi2)
         diff = abs(estimate - reference)
         if stderr == 0.0:
@@ -567,7 +599,7 @@ def overcompleteness_mc(
                 samples=samples,
                 seed=seed,
                 z_score=z_score,
-                ess=sum_abs * sum_abs / sum_sq,
+                ess=float(sum_abs[index] ** 2 / sum_sq[index]),
             )
         )
     return reports

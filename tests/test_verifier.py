@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,22 +332,25 @@ def test_mc_input_guards():
         overcompleteness_mc(make_params(2.0, 2.0, 1.0), [(VAC, VAC)], 10_000, 1)
     with pytest.raises(SamplesTooFew):
         overcompleteness_mc(P05, [(VAC, VAC)], 999, 1)
-    with pytest.raises(SamplesTooMany, match="about 0.5 GB"):
+    with pytest.raises(SamplesTooMany, match="bounds the run time"):
         overcompleteness_mc(P05, [(VAC, VAC)], MC_MAX_SAMPLES + 1, 1)
 
 
 def _three_exp_mc(params, probes, samples, seed, z=None):
     """Estimates and stderrs from the integrand as a product of three
     exponentials over the whole sample array: two overlaps and the
-    importance weight, each evaluated on its own."""
+    importance weight, each evaluated on its own.  The draws are the
+    call's shared stream: standard_normal((4, n)) per chunk, in order."""
     theta = params.theta
+    rng = np.random.default_rng(seed)
+    chunks = [rng.standard_normal((4, min(_MC_CHUNK, samples - start)))
+              for start in range(0, samples, _MC_CHUNK)]
+    draws = math.sqrt(0.5) * np.concatenate(chunks, axis=1)
+    alpha = draws[0] + 1j * draws[1]
+    beta = draws[2] + 1j * draws[3]
+    gauss_weight = np.exp(np.abs(alpha) ** 2 + np.abs(beta) ** 2)
     out = []
-    for index, (psi1, psi2) in enumerate(probes):
-        rng = np.random.default_rng([seed, index])
-        draws = rng.normal(0.0, math.sqrt(0.5), size=(4, samples))
-        alpha = draws[0] + 1j * draws[1]
-        beta = draws[2] + 1j * draws[3]
-        gauss_weight = np.exp(np.abs(alpha) ** 2 + np.abs(beta) ** 2)
+    for psi1, psi2 in probes:
         if z is None:
             left = analytic._coherent_overlap_raw(theta, psi1.alpha, psi1.beta, alpha, beta)
             right = analytic._coherent_overlap_raw(theta, alpha, beta, psi2.alpha, psi2.beta)
@@ -418,6 +422,61 @@ def test_mc_effective_sample_size():
     # times the weight is the constant 1 - theta**2 at theta = 0
     flat = overcompleteness_mc(P00, [(VAC, VAC)], 5000, 3)[0]
     assert flat.ess == pytest.approx(5000, rel=1e-12)
+
+
+MC_FIVE_PROBES = [(VAC, VAC), (ModeAmplitudes(1.0, 0.0), ModeAmplitudes(0.0, 1.0)),
+                  (PROBE, PROBE), (ModeAmplitudes(0.5, 0.5), ModeAmplitudes(-0.5, 0.3j)),
+                  (ModeAmplitudes(1.0, 0.0), ModeAmplitudes(1.0, 0.0))]
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("z", [None, SqueezeParam(0.3, 0.8)])
+def test_mc_probe_does_not_depend_on_the_other_probes(z):
+    # the probes share one stream of draws, and each is its own row of
+    # the GEMM, so a probe reads the same alone, among others, or moved
+    p = make_params(0.4, 0.4, 1.0)
+    samples = _MC_CHUNK + 1000
+    together = overcompleteness_mc(p, MC_FIVE_PROBES, samples, 5, z=z)
+    reordered = overcompleteness_mc(p, MC_FIVE_PROBES[::-1], samples, 5, z=z)[::-1]
+    for index, probe in enumerate(MC_FIVE_PROBES):
+        alone = overcompleteness_mc(p, [probe], samples, 5, z=z)[0]
+        for rep in (together[index], reordered[index]):
+            assert _close(rep.estimate, alone.estimate)
+            assert _close(rep.stderr, alone.stderr)
+            assert _close(rep.ess, alone.ess)
+
+
+def test_mc_memory_does_not_grow_with_the_samples():
+    # the draws are streamed, so the call holds a few chunks; drawing the
+    # whole (4, samples) array and the integrand values peaks above 50 MB
+    p = make_params(0.5, 0.5, 1.0)
+    tracemalloc.start()
+    try:
+        overcompleteness_mc(p, MC_FIVE_PROBES, 1_000_000, 42)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, peak
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(0.0, 0.999), r=st.floats(0.0, 0.5),
+       phi=st.floats(-math.pi, math.pi), amps=st.lists(_AMP, min_size=8, max_size=8))
+def test_identity_integrand_has_the_closed_form_gaussian_mean(theta, r, phi, amps):
+    # F = exp(c + w.g + g.Q.g) with g ~ N(0, I) has the mean
+    # det(A)^(-1/2) exp(c + w.A^-1.w / 2), A = I - 2 Re Q, and the
+    # resolution of the identity says that mean is <psi1|psi2>
+    psi1 = ModeAmplitudes(complex(amps[0], amps[1]), complex(amps[2], amps[3]))
+    psi2 = ModeAmplitudes(complex(amps[4], amps[5]), complex(amps[6], amps[7]))
+    c, w, quad = analytic._identity_integrand_coefficients(theta, psi1, psi2, r, phi)
+    a = np.eye(4) - 2.0 * quad.real
+    mean = np.linalg.det(a) ** -0.5 * np.exp(c + 0.5 * w @ np.linalg.solve(a, w))
+    p = make_params(max(theta, 1e-200), max(theta, 1e-200), 1.0)
+    want = analytic.coherent_overlap(p, psi1, psi2)
+    assert abs(mean - want) <= 1e-10 * abs(want)
 
 
 # ---------------------------------------------------------------------------
