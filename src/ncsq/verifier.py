@@ -60,6 +60,7 @@ __all__ = [
     "SamplesTooMany",
     "SupercriticalWitness",
     "ThetaAtOrAboveOne",
+    "adjoint_mode_transform",
     "algebra_residuals",
     "convergence_probe",
     "crosscheck_suite",
@@ -468,9 +469,8 @@ def crosscheck_suite(
             _report(f"overlap[{index}]", overlap_resid, CROSSCHECK_TOL, **case_meta)
         )
 
-        single = analytic.single_mode_report(params, z)
-        two = analytic.two_mode_report(params, z)
-        wants = (single.dx2, single.dy2, single.dpx2, single.dpy2, two.dX2, two.dP2)
+        rep = analytic.single_mode_report(params, z)
+        wants = (rep.dx2, rep.dy2, rep.dpx2, rep.dpy2, rep.dX2, rep.dP2)
         var_resid = 0.0
         values: Dict[str, float] = {}
         for (name, op), want in zip(quads.items(), wants):
@@ -679,12 +679,11 @@ def supercritical_witness(params: NcParams, r: float = 0.3) -> SupercriticalWitn
     sub-critical parameters the returned witness is simply not violated.
     """
     z = SqueezeParam(r=r, phi=0.5 * math.pi)
-    products = analytic.variance_products(params, z)
-    floor = 0.25 * params.hbar**2
+    bound = analytic.single_mode_report(params, z).bounds["xpx"]
     return SupercriticalWitness(
         r=r,
         phi=z.phi,
-        product=products.prod_xpx,
-        floor=floor,
-        violated=bool(products.prod_xpx < floor),
+        product=bound.lhs,
+        floor=bound.rhs,
+        violated=bool(bound.lhs < bound.rhs),
     )

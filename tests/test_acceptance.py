@@ -33,8 +33,6 @@ from ncsq import (
     squeeze_op,
     squeezed_overlap,
     supercritical_witness,
-    two_mode_report,
-    variance_products,
 )
 from ncsq.cli import SweepSpec, sweep
 from ncsq.fock import _squeeze_generator
@@ -201,7 +199,7 @@ def test_ac5_single_mode_minimum_and_critical_boundary():
     worst = 0.0
     for theta, r in [(0.3, 0.2), (0.6, 0.35), (0.9, 0.5)]:
         p = make_params(theta, theta, 1.0)
-        values = [variance_products(p, SqueezeParam(r, float(phi))).prod_xpx
+        values = [single_mode_report(p, SqueezeParam(r, float(phi))).prod_xpx
                   for phi in PHI_GRID]
         idx = int(np.argmin(values))
         closed = 0.25 * (1.0 + (1.0 - theta**2) * math.sinh(2.0 * r) ** 2)
@@ -211,7 +209,7 @@ def test_ac5_single_mode_minimum_and_critical_boundary():
 
     saturated = make_params(1.0, 1.0, 1.0)
     sat_gap = max(
-        abs(min(variance_products(saturated, SqueezeParam(r, float(phi))).prod_xpx
+        abs(min(single_mode_report(saturated, SqueezeParam(r, float(phi))).prod_xpx
                 for phi in PHI_GRID) - 0.25)
         for r in (0.1, 0.3, 0.5))
     ok = ok and sat_gap < 1e-10
@@ -226,7 +224,7 @@ def test_ac6_two_mode_minimum():
     worst = 0.0
     for theta, r in [(0.3, 0.2), (0.6, 0.35), (0.9, 0.5)]:
         p = make_params(theta, theta, 1.0)
-        values = [two_mode_report(p, SqueezeParam(r, float(phi))).prod_XP
+        values = [single_mode_report(p, SqueezeParam(r, float(phi))).prod_XP
                   for phi in PHI_GRID]
         idx = int(np.argmin(values))
         closed = (1.0 + (1.0 - theta**2)

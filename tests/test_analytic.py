@@ -6,10 +6,13 @@ oracle, dense phi grids, coefficient-space commutators).
 """
 
 import cmath
+import decimal
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import ulp_between
@@ -19,15 +22,13 @@ from ncsq import (
     bogoliubov_coefficients,
     coherent_eigenvalues,
     coherent_overlap,
-    heisenberg_report,
     make_params,
     oscillator_consistency,
     single_mode_report,
     squeezed_overlap,
-    two_mode_report,
-    variance_products,
 )
 from ncsq.analytic import OscillatorParams
+from ncsq.cli import _variance_row
 
 P05 = make_params(0.5, 0.5, 1.0)
 # mu*nu underflows to exactly zero: the commutative limit without branching
@@ -297,6 +298,39 @@ def test_exchange_under_phase_reflection():
             assert ulp_between(minus.dpy2, plus.dpx2) <= 4.0
 
 
+def _prod_xpx_direct(params, r, phi):
+    """(dx2 * dpx2) evaluated from its own expanded closed form."""
+    theta = params.theta
+    c2r, s2r = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    c2t, s2t = math.cosh(2.0 * r * theta), math.sinh(2.0 * r * theta)
+    s4r, s4t = math.sinh(4.0 * r), math.sinh(4.0 * r * theta)
+    sphi2 = math.sin(phi) ** 2
+    cphi2 = math.cos(phi) ** 2
+    bracket = (
+        c2r * c2r * (c2t * c2t - sphi2 * s2t * s2t)
+        + 0.5 * theta * cphi2 * s4r * s4t
+        + theta * theta * s2r * s2r * (s2t * s2t - sphi2 * c2t * c2t)
+    )
+    return 0.25 * params.hbar**2 * bracket
+
+
+def _prod_xp_two_mode_direct(params, r, phi):
+    """(dX2 * dP2) evaluated from its own expanded closed form."""
+    theta = params.theta
+    c2r, s2r = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    s2t = math.sinh(2.0 * r * theta)
+    s4r, s4t = math.sinh(4.0 * r), math.sinh(4.0 * r * theta)
+    cphi2 = math.cos(phi) ** 2
+    sphi2 = math.sin(phi) ** 2
+    bracket = (
+        (c2r * c2r - cphi2 * s2r * s2r)
+        + 0.5 * theta * sphi2 * s4r * s4t
+        + ((c2r * c2r + theta * theta * s2r * s2r)
+           - cphi2 * (theta * theta * c2r * c2r + s2r * s2r)) * s2t * s2t
+    )
+    return params.hbar**2 / 16.0 * bracket
+
+
 def test_product_direct_form_matches_variance_product():
     # two algebraic arrangements of the same product, compared blind
     rng = _rng(31)
@@ -305,10 +339,12 @@ def test_product_direct_form_matches_variance_product():
         p = make_params(theta, theta, 1.0)
         z = SqueezeParam(rng.uniform(0.0, 0.6), rng.uniform(-3.0, 3.0))
         rep = single_mode_report(p, z)
-        prods = variance_products(p, z)
-        assert prods.prod_xpx == pytest.approx(rep.dx2 * rep.dpx2, rel=1e-13)
-        two = two_mode_report(p, z)
-        assert two.prod_XP == pytest.approx(two.dX2 * two.dP2, rel=1e-13)
+        direct_xpx = _prod_xpx_direct(p, z.r, z.phi)
+        assert direct_xpx == pytest.approx(rep.dx2 * rep.dpx2, rel=1e-13)
+        assert direct_xpx == pytest.approx(rep.prod_xpx, rel=1e-13)
+        direct_xp = _prod_xp_two_mode_direct(p, z.r, z.phi)
+        assert direct_xp == pytest.approx(rep.dX2 * rep.dP2, rel=1e-13)
+        assert direct_xp == pytest.approx(rep.prod_XP, rel=1e-13)
 
 
 def _grid_min(fn):
@@ -320,53 +356,55 @@ def _grid_min(fn):
 def test_single_mode_minimum_on_dense_grid():
     for theta, r in [(0.3, 0.2), (0.5, 0.3), (0.8, 0.45)]:
         p = make_params(theta, theta, 1.0)
-        prods = variance_products(p, SqueezeParam(r, 0.1))
+        rep = single_mode_report(p, SqueezeParam(r, 0.1))
         got, arg = _grid_min(
-            lambda phi: variance_products(p, SqueezeParam(r, phi)).prod_xpx)
+            lambda phi: single_mode_report(p, SqueezeParam(r, phi)).prod_xpx)
         closed = 0.25 * (1.0 + (1.0 - theta**2) * math.sinh(2.0 * r) ** 2)
         assert abs(got - closed) < 1e-10 * closed
         assert abs(abs(arg) - math.pi / 2) < 1e-9
-        assert prods.min_xpx == pytest.approx(closed, rel=1e-12)
-        assert abs(prods.argmin_phi) == pytest.approx(math.pi / 2, rel=1e-12)
+        assert rep.min_xpx == pytest.approx(closed, rel=1e-12)
+        row = _variance_row(p, SqueezeParam(r, 0.1))
+        assert abs(row["argmin_phi"]) == pytest.approx(math.pi / 2, rel=1e-12)
 
 
 def test_two_mode_minimum_on_dense_grid():
     for theta, r in [(0.3, 0.2), (0.5, 0.3), (0.8, 0.45)]:
         p = make_params(theta, theta, 1.0)
-        two = two_mode_report(p, SqueezeParam(r, 0.1))
+        rep = single_mode_report(p, SqueezeParam(r, 0.1))
         got, arg = _grid_min(
-            lambda phi: two_mode_report(p, SqueezeParam(r, phi)).prod_XP)
+            lambda phi: single_mode_report(p, SqueezeParam(r, phi)).prod_XP)
         closed = (1.0 + (1.0 - theta**2) * math.sinh(2.0 * r * theta) ** 2) / 16.0
         assert abs(got - closed) < 1e-10 * closed
         # the minimizing set is sin(phi) = 0; the grid scan may land on
         # phi = -pi first, which attains the same value as phi = 0
         assert abs(math.sin(arg)) < 1e-9
-        assert two.min_XP == pytest.approx(closed, rel=1e-12)
-        assert two.argmin_phi == pytest.approx(0.0, abs=1e-12)
+        assert rep.min_XP == pytest.approx(closed, rel=1e-12)
+        row = _variance_row(p, SqueezeParam(r, 0.1))
+        assert row["argmin_phi_XP"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_saturated_theta_pins_minimum_to_floor():
     p = make_params(1.0, 1.0, 1.0)
     for r in (0.1, 0.3, 0.5):
-        prods = variance_products(p, SqueezeParam(r, 0.7))
-        assert prods.min_xpx == pytest.approx(0.25, rel=1e-12)
+        rep = single_mode_report(p, SqueezeParam(r, 0.7))
+        assert rep.min_xpx == pytest.approx(0.25, rel=1e-12)
 
 
 def test_heisenberg_report_at_rest():
-    checks = heisenberg_report(P05)
+    checks = single_mode_report(P05).bounds
     assert set(checks) == {"xy", "pxpy", "xpx", "ypy", "XP"}
     for name in ("xpx", "ypy", "XP"):
         assert checks[name].satisfied and checks[name].saturated
     # xy and pxpy floors only saturate on the mu*nu = hbar^2 boundary
     assert checks["xy"].satisfied and not checks["xy"].saturated
     assert checks["pxpy"].satisfied and not checks["pxpy"].saturated
-    sat = heisenberg_report(make_params(1.0, 1.0, 1.0))
+    sat = single_mode_report(make_params(1.0, 1.0, 1.0)).bounds
     assert sat["xy"].saturated and sat["pxpy"].saturated
 
 
 def test_heisenberg_violated_beyond_critical_coupling():
     p = make_params(2.0, 2.0, 1.0)
-    checks = heisenberg_report(p, SqueezeParam(0.3, math.pi / 2))
+    checks = single_mode_report(p, SqueezeParam(0.3, math.pi / 2)).bounds
     assert not checks["xpx"].satisfied
     assert checks["xpx"].lhs < checks["xpx"].rhs
 
@@ -377,6 +415,116 @@ def test_variances_scale_out_of_natural_units():
     scaled = single_mode_report(make_params(1.0, 1.0, 2.0), SqueezeParam(0.3, 1.0))
     assert scaled.gain_x == pytest.approx(base.gain_x, rel=1e-15)
     assert scaled.dx2 == pytest.approx(2.0 * base.dx2, rel=1e-14)
+
+
+# theta in [0, 1), weighted towards the last 1e-6 below 1
+_THETA = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                   st.floats(-16.0, -6.0).map(lambda e: 1.0 - 10.0**e))
+_RATIO = st.floats(0.1, 10.0)
+_HBAR = st.floats(0.3, 3.0)
+_PHI = st.one_of(st.sampled_from([0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi]),
+                 st.floats(-10.0, 10.0))
+
+
+def _params_at(theta, ratio, hbar):
+    """Parameters near theta with mu/nu = ratio**2; below 1e-150 theta is
+    replaced by 0, where mu*nu underflows."""
+    scale = theta * hbar if theta > 1e-150 else 1e-200
+    return make_params(scale * ratio, scale / ratio, hbar)
+
+
+def _decimal_oracle(params, z):
+    """Every report field from the plain bracket formulas at 50 digits.
+
+    The float inputs, sin(phi) and cos(phi) included, are taken as exact;
+    cosh and sinh are built from Decimal.exp.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        theta, hbar, mu, nu, r = (D(v) for v in (params.theta, params.hbar,
+                                                  params.mu, params.nu, z.r))
+        s, c = D(math.sin(z.phi)), D(math.cos(z.phi))
+
+        def cosh_sinh(x):
+            e, inv = x.exp(), (-x).exp()
+            return (e + inv) / 2, (e - inv) / 2
+
+        c2r, s2r = cosh_sinh(2 * r)
+        c2t, s2t = cosh_sinh(2 * r * theta)
+        plus = c2r * (c2t + s * s2t) + theta * s2r * (s2t + s * c2t)
+        minus = c2r * (c2t - s * s2t) + theta * s2r * (s2t - s * c2t)
+        bx = c2t * (c2r - c * s2r) + theta * s2t * (s2r - c * c2r)
+        bp = c2t * (c2r + c * s2r) + theta * s2t * (s2r + c * c2r)
+        s1 = 1 + (1 - theta * theta) * s2r * s2r
+        s2 = 1 + (1 - theta * theta) * s2t * s2t
+        sx = hbar / 2 * (mu / nu).sqrt()
+        sp = hbar / 2 * (nu / mu).sqrt()
+        return {
+            "dx2": sx * plus, "dy2": sx * minus, "dpx2": sp * minus, "dpy2": sp * plus,
+            "dX2": sx / 2 * bx, "dP2": sp / 2 * bp,
+            "gain_x": plus, "gain_px": minus,
+            "prod_xpx": sx * sp * plus * minus, "prod_ypy": sx * sp * plus * minus,
+            "prod_xy": sx * sx * plus * minus, "prod_pxpy": sp * sp * plus * minus,
+            "prod_XP": sx * sp / 4 * bx * bp,
+            "min_xpx": sx * sp * s1, "min_xy": sx * sx * s1, "min_pxpy": sp * sp * s1,
+            "min_XP": sx * sp / 4 * s2,
+        }
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=_THETA, ratio=_RATIO, hbar=_HBAR, r=st.floats(0.0, 8.0), phi=_PHI)
+def test_report_matches_fifty_digit_oracle(theta, ratio, hbar, r, phi):
+    p = _params_at(theta, ratio, hbar)
+    assume(p.theta < 1.0)
+    z = SqueezeParam(r, phi)
+    rep = single_mode_report(p, z)
+    for name, want in _decimal_oracle(p, z).items():
+        got = decimal.Decimal(getattr(rep, name))
+        assert abs(got - want) <= decimal.Decimal("1e-14") * abs(want), (name, got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(0.0, 3.0), r=st.floats(0.0, 8.0),
+       phi=st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True))
+def test_phase_reflection_exchanges_bitwise(theta, r, phi):
+    p = _params_at(theta, 1.7, 1.0)
+    plus = single_mode_report(p, SqueezeParam(r, phi))
+    minus = single_mode_report(p, SqueezeParam(r, -phi))
+    assert (minus.gain_x, minus.gain_px) == (plus.gain_px, plus.gain_x)
+    assert (minus.dy2, minus.dpy2) == (plus.dx2, plus.dpx2)
+
+
+_BOUND_MINIMA = {"xy": "min_xy", "pxpy": "min_pxpy", "xpx": "min_xpx",
+                 "ypy": "min_xpx", "XP": "min_XP"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(0.0, 3.0), ratio=_RATIO, hbar=_HBAR, r=st.floats(0.0, 8.0),
+       phi=_PHI)
+def test_bound_lhs_is_the_stored_product_above_its_minimum(theta, ratio, hbar, r, phi):
+    rep = single_mode_report(_params_at(theta, ratio, hbar), SqueezeParam(r, phi))
+    assert list(rep.bounds) == ["xy", "pxpy", "xpx", "ypy", "XP"]
+    for name, bound in rep.bounds.items():
+        assert bound.lhs == getattr(rep, "prod_" + name)
+        assert bound.lhs >= getattr(rep, _BOUND_MINIMA[name])
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(0.0, 8.0), phi=_PHI)
+def test_commutative_limit_of_the_factors(r, phi):
+    # theta -> 0 (mu*nu underflows, as the sweep's theta = 0 point does):
+    # each mode of a two-mode squeezed state is thermal, so both gains are
+    # cosh 2r at every phase; the phase enters the collective quadratures
+    rep = single_mode_report(P00, SqueezeParam(r, phi))
+    assert rep.gain_x == pytest.approx(math.cosh(2.0 * r), rel=1e-14)
+    assert rep.gain_px == pytest.approx(math.cosh(2.0 * r), rel=1e-14)
+    if r <= 0.5:
+        # the plain difference loses at most a factor e**(2r) <= e here
+        z = SqueezeParam(r, phi)
+        c2r, s2r, cphi = math.cosh(2.0 * r), math.sinh(2.0 * r), math.cos(z.phi)
+        assert 4.0 * rep.dX2 == pytest.approx(c2r - cphi * s2r, rel=1e-14)
+        assert 4.0 * rep.dP2 == pytest.approx(c2r + cphi * s2r, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

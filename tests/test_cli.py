@@ -127,6 +127,31 @@ def test_variance_with_squeeze_echoes_z(capsys):
     assert doc["result"]["squeezed_px"] is True
 
 
+VARIANCE_ROW_KEYS = [
+    "dx2", "dy2", "dpx2", "dpy2", "gain_x", "gain_px", "squeezed_x", "squeezed_px",
+    "prod_xpx", "prod_ypy", "prod_xy", "prod_pxpy",
+    "min_xpx", "min_xy", "min_pxpy", "argmin_phi",
+    "dX2", "dP2", "prod_XP", "min_XP", "argmin_phi_XP",
+    "bound_xy_satisfied", "bound_xy_saturated",
+    "bound_pxpy_satisfied", "bound_pxpy_saturated",
+    "bound_xpx_satisfied", "bound_xpx_saturated",
+    "bound_ypy_satisfied", "bound_ypy_saturated",
+    "bound_XP_satisfied", "bound_XP_saturated",
+]
+
+
+def test_variance_row_keys_are_pinned(capsys):
+    code, doc = run_json(capsys, ["variance", "--mu", "0.5", "--nu", "0.5"])
+    assert code == 0
+    assert list(doc["result"]) == VARIANCE_ROW_KEYS
+    code, doc = run_json(capsys, ["variance", "--mu", "0.5", "--nu", "0.5",
+                                  "--r", "0.3", "--phi", "1.5708"])
+    assert code == 0
+    assert list(doc["result"]) == VARIANCE_ROW_KEYS + ["r", "phi"]
+    assert doc["result"]["argmin_phi"] == math.pi / 2
+    assert doc["result"]["argmin_phi_XP"] == 0.0
+
+
 def test_overlap_vacuum_gaussian(capsys):
     code, doc = run_json(capsys, ["overlap", "--mu", "0.5", "--nu", "0.5",
                                   "--alpha", "1"])
