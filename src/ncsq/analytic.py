@@ -28,7 +28,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .params import NcParams
+from .params import NcParams, NonFinite
 
 __all__ = [
     "BogoliubovCoeffs",
@@ -426,8 +426,11 @@ def single_mode_report(params: NcParams, z: Optional[SqueezeParam] = None) -> Va
     r = 0.0 if z is None else z.r
     phi = 0.0 if z is None else z.phi
 
-    c2r, s2r = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    c2t, s2t = math.cosh(2.0 * r * theta), math.sinh(2.0 * r * theta)
+    try:
+        c2r, s2r = math.cosh(2.0 * r), math.sinh(2.0 * r)
+        c2t, s2t = math.cosh(2.0 * r * theta), math.sinh(2.0 * r * theta)
+    except OverflowError:
+        raise _overflow(r, theta) from None
     a = c2r * c2t + theta * s2r * s2t
     b = c2r * s2t + theta * s2r * c2t
     b_xp = c2t * s2r + theta * s2t * c2r
@@ -460,7 +463,7 @@ def single_mode_report(params: NcParams, z: Optional[SqueezeParam] = None) -> Va
         "ypy": h2_4,
         "XP": h2_16,
     }
-    return VarianceReport(
+    report = VarianceReport(
         dx2=scale_x * gain_x,
         dy2=scale_x * gain_px,
         dpx2=scale_p * gain_px,
@@ -481,6 +484,16 @@ def single_mode_report(params: NcParams, z: Optional[SqueezeParam] = None) -> Va
         min_pxpy=scale_pp * s1,
         min_XP=h2_16 * s2,
         bounds={name: _bound(name, lhs, floors[name]) for name, lhs in prods.items()},
+    )
+    if not all(map(math.isfinite, (v for v in vars(report).values() if isinstance(v, float)))):
+        raise _overflow(r, theta)
+    return report
+
+
+def _overflow(r: float, theta: float) -> NonFinite:
+    return NonFinite(
+        f"the variances at r={r!r}, theta={theta!r} overflow a float; "
+        "r must stay below about 177/(1 + theta)"
     )
 
 

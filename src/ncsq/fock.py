@@ -1,15 +1,20 @@
 """Truncated two-mode number-basis realisation of the deformed pair.
 
 The Hilbert space is spanned by |n_a, n_b> with both occupations capped at
-``cutoff``; index layout is row-major, i = n_a*(cutoff+1) + n_b.  Operators
-are CSR matrices built from ladder coefficients: the plane operators (x, y,
-px, py) and the deformed pair (a_def, b_def) are exact linear combinations
-of the ordinary a, a+, b, b+, with coefficient 4-vectors from inverting the
-4x4 map that defines the ordinary modes in terms of the plane operators.
-Generators are at most quadratic in the ladder, so states are built by
-sparse exponential-times-vector products.  The only dense dim x dim
-matrices are the unitaries of displacement_op and squeeze_op, about 45 MB
-each at cutoff 40.
+``cutoff``; index layout is row-major, i = n_a*(cutoff+1) + n_b.  The plane
+operators (x, y, px, py), the deformed pair (a_def, b_def), the ordinary
+pair and the displacement generator are exact linear combinations of the
+ordinary a, a+, b, b+, with coefficient 4-vectors from inverting the 4x4
+map that defines the ordinary modes in terms of the plane operators.  Each
+space caches one CSR pattern, the union of the four ladder patterns, which
+are disjoint; every such operator is built on it from its coefficient
+4-vector, one coefficient times one ladder weight per stored entry, with
+no sparse sums or transposes.  Generators are at most quadratic in the
+ladder, so states are built by sparse exponential-times-vector products;
+a squeezed state is its coherent state squeezed, so callers that need
+both build the coherent state once.  The only dense dim x dim matrices
+are the unitaries of displacement_op and squeeze_op, about 45 MB each at
+cutoff 40.
 
 Truncation is the only approximation.  Operator identities hold exactly on
 the subspace of total occupation <= cutoff - buffer; states are guarded by a
@@ -27,7 +32,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse import csr_array, diags_array, eye_array, issparse, kron
+from scipy.sparse import csr_array, issparse
 from scipy.sparse.linalg import expm_multiply
 
 from .analytic import ModeAmplitudes, SqueezeParam
@@ -116,6 +121,31 @@ class FockSpace:
     def __hash__(self) -> int:
         return hash(("FockSpace", self.cutoff))
 
+    @functools.cached_property
+    def _ladder_pattern(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """CSR (indptr, indices) of the union of a, a+, b, b+, with the ladder
+        weight sqrt(n) of each stored entry and which of the four (0 to 3,
+        in that order) it belongs to.
+
+        The four patterns are disjoint, so the operator with coefficient
+        4-vector c stores exactly c[which] * weight at each entry.  Within
+        a row the columns run i - side (a+), i - 1 (b+), i + 1 (b) and
+        i + side (a), which keeps the indices sorted.
+        """
+        side = self.cutoff + 1
+        n_a, n_b = self.n_a, self.n_b
+        offsets = np.array([-side, -1, 1, side])
+        ladders = np.array([1, 3, 2, 0])
+        weights = np.sqrt(np.stack([n_a, n_b, n_b + 1, n_a + 1]).astype(float))
+        present = np.stack([n_a > 0, n_b > 0, n_b < self.cutoff, n_a < self.cutoff]).T
+        indices = (np.arange(self.dim)[:, None] + offsets)[present].astype(np.int32)
+        indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))]).astype(np.int32)
+        which = np.broadcast_to(ladders, present.shape)[present]
+        pattern = (indptr, indices, weights.T[present], which)
+        for arr in pattern:
+            arr.setflags(write=False)
+        return pattern
+
     def index_of(self, n_a: int, n_b: int) -> int:
         if not (0 <= n_a <= self.cutoff and 0 <= n_b <= self.cutoff):
             raise CutoffOutOfRange(
@@ -166,8 +196,15 @@ class OperatorMatrix:
     def hermitized(self) -> "OperatorMatrix":
         return OperatorMatrix(self.space, 0.5 * (self.matrix + self.dag().matrix))
 
+    @functools.cached_property
+    def _hermiticity(self) -> Tuple[float, float]:
+        """(max |M - M+|, max(1, max |M|)), computed once: no operator's
+        matrix is changed after it is built."""
+        return (float(abs(self.matrix - self.dag().matrix).max()),
+                max(1.0, float(abs(self.matrix).max())))
+
     def hermiticity_defect(self) -> float:
-        return float(abs(self.matrix - self.dag().matrix).max())
+        return self._hermiticity[0]
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if not isinstance(other, OperatorMatrix):
@@ -237,14 +274,23 @@ def basis_state(space: FockSpace, n_a: int, n_b: int) -> StateVector:
     return StateVector(space, vec)
 
 
-def _ladder(space: FockSpace) -> Tuple[csr_array, csr_array, csr_array, csr_array]:
-    """(a, a+, b, b+) as CSR: the basis every coefficient 4-vector refers to."""
-    side = space.cutoff + 1
-    lower = diags_array(np.sqrt(np.arange(1.0, side)), offsets=1)
-    eye = eye_array(side)
-    a = csr_array(kron(lower, eye), dtype=np.complex128)
-    b = csr_array(kron(eye, lower), dtype=np.complex128)
-    return a, a.T.tocsr(), b, b.T.tocsr()
+def _from_coefficients(space: FockSpace, coeffs: np.ndarray) -> csr_array:
+    """sum_k coeffs[k] L_k over (a, a+, b, b+), stored on the space's ladder
+    pattern; entries of a zero coefficient are dropped, as a CSR sum would."""
+    indptr, indices, weights, which = space._ladder_pattern
+    data = np.asarray(coeffs, dtype=np.complex128)[which] * weights
+    matrix = csr_array((data, indices.copy(), indptr.copy()), shape=(space.dim, space.dim))
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def _adjoint(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficient 4-vectors (rows) of the adjoints: a <-> a+, b <-> b+, conjugated."""
+    return np.conjugate(coeffs[..., [1, 0, 3, 2]])
+
+
+# rows: the coefficient 4-vectors of a, a+, b and b+ themselves
+_UNIT = np.eye(4)
 
 
 def _ladder_coefficients(params: NcParams) -> np.ndarray:
@@ -283,7 +329,7 @@ def _ladder_coefficients(params: NcParams) -> np.ndarray:
     )
     scale = math.sqrt(0.5 * hbar) * params.lambda_denom
     sol = np.linalg.solve(coeff, scale * quadratures)
-    plane = 0.5 * (sol + sol[:, [1, 0, 3, 2]].conj())
+    plane = 0.5 * (sol + _adjoint(sol))
     x, y, px, py = plane
     c = (params.nu / params.mu) ** 0.25
     d = (params.mu / params.nu) ** 0.25
@@ -295,8 +341,8 @@ def _ladder_coefficients(params: NcParams) -> np.ndarray:
 
 def ordinary_mode_ops(space: FockSpace) -> Tuple[OperatorMatrix, OperatorMatrix]:
     """Ordinary (undeformed) annihilators a, b as truncated matrices."""
-    a, _, b, _ = _ladder(space)
-    return OperatorMatrix(space, a), OperatorMatrix(space, b)
+    return (OperatorMatrix(space, _from_coefficients(space, _UNIT[0])),
+            OperatorMatrix(space, _from_coefficients(space, _UNIT[2])))
 
 
 def phase_space_ops(
@@ -353,13 +399,12 @@ class OperatorSet:
 
 def build_operator_set(params: NcParams, space: FockSpace) -> OperatorSet:
     coeffs = _ladder_coefficients(params)
-    ladder = _ladder(space)
-    x, y, px, py, a_def, b_def = (
-        OperatorMatrix(space, sum(c * m for c, m in zip(row, ladder))) for row in coeffs
+    x, y, px, py, a_def, b_def, a_ord, b_ord = (
+        OperatorMatrix(space, _from_coefficients(space, row))
+        for row in (*coeffs, _UNIT[0], _UNIT[2])
     )
     return OperatorSet(
-        space=space, params=params,
-        a_ord=OperatorMatrix(space, ladder[0]), b_ord=OperatorMatrix(space, ladder[2]),
+        space=space, params=params, a_ord=a_ord, b_ord=b_ord,
         x=x, y=y, px=px, py=py, a_def=a_def, b_def=b_def, coeffs=coeffs,
     )
 
@@ -383,18 +428,26 @@ def matrix_exp(op: OperatorMatrix, tol: float = 1e-12) -> OperatorMatrix:
 
 
 def _displacement_generator(ops: OperatorSet, amps: ModeAmplitudes) -> OperatorMatrix:
+    """alpha a_def+ + beta b_def+ - conj(alpha) a_def - conj(beta) b_def,
+    built from its coefficient 4-vector."""
     alpha, beta = amps.alpha, amps.beta
-    return (
-        alpha * ops.a_def.dag()
-        + beta * ops.b_def.dag()
-        - np.conjugate(alpha) * ops.a_def
-        - np.conjugate(beta) * ops.b_def
-    )
+    a_row, b_row = ops.coeffs[4:]
+    row = (alpha * _adjoint(a_row) + beta * _adjoint(b_row)
+           - np.conjugate(alpha) * a_row - np.conjugate(beta) * b_row)
+    return OperatorMatrix(ops.space, _from_coefficients(ops.space, row))
 
 
 def _squeeze_generator(ops: OperatorSet, z: SqueezeParam) -> OperatorMatrix:
     zc = z.z
     return np.conjugate(zc) * ops.pair_annihilator - zc * ops.pair_creator
+
+
+def _refuse_large_squeeze(z: Optional[SqueezeParam], max_r: float) -> None:
+    if z is not None and z.r > max_r:
+        raise SqueezeTooLargeForCutoff(
+            f"squeeze r={z.r} exceeds max_r={max_r}; raise max_r explicitly "
+            "if the cutoff can absorb it"
+        )
 
 
 def displacement_op(
@@ -416,11 +469,7 @@ def squeeze_op(
     The refusal is a coarse gate: even below it, states are still subject to
     the tail-population guard in make_state.
     """
-    if z.r > max_r:
-        raise SqueezeTooLargeForCutoff(
-            f"squeeze r={z.r} exceeds max_r={max_r}; raise max_r explicitly "
-            "if the cutoff can absorb it"
-        )
+    _refuse_large_squeeze(z, max_r)
     if ops is None:
         ops = build_operator_set(params, space)
     return matrix_exp(_squeeze_generator(ops, z))
@@ -455,8 +504,8 @@ def deformed_vacuum(
             f"(residual {float(np.linalg.norm(fit)):.3e})"
         )
 
-    adag = ops.a_ord.dag().matrix
-    bdag = ops.b_ord.dag().matrix
+    adag = _from_coefficients(space, _UNIT[1])
+    bdag = _from_coefficients(space, _UNIT[3])
 
     def quad_apply(v: np.ndarray) -> np.ndarray:
         av = adag @ v
@@ -498,24 +547,35 @@ def make_state(
     population sits within ``buffer`` quanta of the cutoff, the truncation
     cannot be trusted and PopulationOverflow is raised.
     """
-    if z is not None and z.r > max_r:
-        raise SqueezeTooLargeForCutoff(
-            f"squeeze r={z.r} exceeds max_r={max_r}; raise max_r explicitly "
-            "if the cutoff can absorb it"
-        )
+    _refuse_large_squeeze(z, max_r)
     if ops is None:
         ops = build_operator_set(params, space)
     vec = ops.ground.vector
     if amps is not None and (amps.alpha != 0.0 or amps.beta != 0.0):
         vec = expm_multiply(_displacement_generator(ops, amps).matrix, vec)
+    return _squeeze_and_guard(ops, vec, z, buffer, tail_tol)
+
+
+def _squeeze_and_guard(
+    ops: OperatorSet,
+    vec: np.ndarray,
+    z: Optional[SqueezeParam],
+    buffer: int = DEFAULT_BUFFER,
+    tail_tol: float = DEFAULT_TAIL_TOL,
+) -> StateVector:
+    """The last steps of make_state: squeeze vec (when r > 0), normalise,
+    and raise PopulationOverflow if more than tail_tol of the population
+    lies within ``buffer`` quanta of the cutoff.  Callers that already hold
+    a displaced state squeeze it here rather than rebuild it; they refuse
+    r beyond max_r first, as make_state does."""
     if z is not None and z.r > 0.0:
         vec = expm_multiply(_squeeze_generator(ops, z).matrix, vec)
-    out = StateVector(space, vec).normalized()
+    out = StateVector(ops.space, vec).normalized()
     leak = safe_norm_fraction(out, buffer=buffer)
     if leak > tail_tol:
         raise PopulationOverflow(
             f"{leak:.3e} of the population lies within {buffer} quanta of "
-            f"cutoff {space.cutoff}; increase the cutoff"
+            f"cutoff {out.space.cutoff}; increase the cutoff"
         )
     return out
 
@@ -562,8 +622,7 @@ def expectation_and_variance(
     variances from rounding are clamped to zero.
     """
     _check_same_space(state.space, op.space)
-    defect = op.hermiticity_defect()
-    scale = max(1.0, float(abs(op.matrix).max()))
+    defect, scale = op._hermiticity
     if defect > 1e-10 * scale:
         raise NonHermitianOperator(
             f"hermiticity defect {defect:.3e} exceeds tolerance for variance"

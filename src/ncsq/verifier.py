@@ -34,10 +34,15 @@ from . import analytic
 from .analytic import ModeAmplitudes, SqueezeParam
 from .fock import (
     DEFAULT_BUFFER,
+    DEFAULT_MAX_SQUEEZE,
+    DEFAULT_TAIL_TOL,
     FockSpace,
     OperatorMatrix,
     OperatorSet,
+    PopulationOverflow,
     _displacement_generator,
+    _refuse_large_squeeze,
+    _squeeze_and_guard,
     _squeeze_generator,
     build_operator_set,
     check_buffer,
@@ -45,6 +50,7 @@ from .fock import (
     expectation_and_variance,
     make_space,
     make_state,
+    safe_norm_fraction,
 )
 from .params import NcParams
 
@@ -335,11 +341,16 @@ def identity_suite(
     holds exactly because [m, G] = lambda_m is a c-number for the
     displacement generator G, so it is checked as that commutator on the
     safe block.  Refuses a buffer outside [0, cutoff] with
-    BufferOutOfRange before building anything.  The eigenvalue states
-    keep make_state's default tail guard: at buffer = cutoff the caller's
-    buffer would count all population as tail and raise PopulationOverflow.
+    BufferOutOfRange, and a squeeze beyond make_state's max_r with
+    SqueezeTooLargeForCutoff, before building anything.  The eigenvalue
+    states are guarded at make_state's default buffer, not the caller's
+    (at buffer = cutoff that would count all population as tail), and
+    the squeezed one is the coherent one, squeezed.  An eigenvalue
+    residual above OPERATOR_TOL on a state whose tail exceeds the default
+    guard raises PopulationOverflow instead of a failed report.
     """
     check_buffer(space, buffer)
+    _refuse_large_squeeze(z, DEFAULT_MAX_SQUEEZE)
     if ops is None:
         ops = build_operator_set(params, space)
     meta = _params_meta(params, space, buffer)
@@ -382,21 +393,31 @@ def identity_suite(
         )
     )
 
-    # Identity checks stay exact under truncation (the construction and
-    # the relation share the same truncated generators), so a fatter tail
-    # than the oracle-grade default is acceptable here.
+    # The relations hold to OPERATOR_TOL on states with a fatter tail than
+    # the default guard admits (3e-10 at cutoff 30, r 0.3), so the states
+    # are built under a looser one; a failure on a state the default guard
+    # would refuse is the truncation's, and is refused below.
     coh = make_state(params, space, amps, ops=ops, tail_tol=1e-6)
+    states = [coh]
     eig = max(
         float(np.linalg.norm(ops.a_def.matrix @ coh.vector - lam_a * coh.vector)),
         float(np.linalg.norm(ops.b_def.matrix @ coh.vector - lam_b * coh.vector)),
     )
     if z.r > 0.0:
         # S a S+ on the squeezed state, applied as S+, then a, then S
-        sqz = make_state(params, space, amps, z, ops=ops, tail_tol=1e-6)
+        sqz = _squeeze_and_guard(ops, coh.vector, z, tail_tol=1e-6)
+        states.append(sqz)
         unsqueezed = expm_multiply(-squeeze.matrix, sqz.vector)
         for mode, lam in ((ops.a_def, lam_a), (ops.b_def, lam_b)):
             lowered = expm_multiply(squeeze.matrix, mode.matrix @ unsqueezed)
             eig = max(eig, float(np.linalg.norm(lowered - lam * sqz.vector)))
+    leak = max(safe_norm_fraction(state) for state in states)
+    if eig > OPERATOR_TOL and leak > DEFAULT_TAIL_TOL:
+        raise PopulationOverflow(
+            f"eigenvalue_relations read {eig:.3e} on a state with {leak:.3e} of "
+            f"its population within {DEFAULT_BUFFER} quanta of cutoff "
+            f"{space.cutoff}; increase the cutoff"
+        )
     reports.append(
         _report(
             "eigenvalue_relations",
@@ -431,11 +452,16 @@ def crosscheck_suite(
     For each (amplitudes, squeeze) case: the overlaps of the state against
     the deformed vacuum and against the coherent state with the same
     amplitudes, and the six quadrature variances, all compared to their
-    closed forms at relative tolerance 1e-6.  Every state is built under
-    the tail guard at the caller's buffer.  Refuses a buffer outside
-    [0, cutoff] with BufferOutOfRange before building anything.
+    closed forms at relative tolerance 1e-6.  Each case's coherent state
+    is built once, serves as the bra, and is squeezed into the case's
+    state; every state is built under the tail guard at the caller's
+    buffer.  Refuses a buffer outside [0, cutoff] with BufferOutOfRange,
+    and a squeeze beyond make_state's max_r with SqueezeTooLargeForCutoff,
+    before building anything.
     """
     check_buffer(space, buffer)
+    for _, z in cases:
+        _refuse_large_squeeze(z, DEFAULT_MAX_SQUEEZE)
     if ops is None:
         ops = build_operator_set(params, space)
     vac_amps = ModeAmplitudes(0.0, 0.0)
@@ -444,7 +470,7 @@ def crosscheck_suite(
 
     reports: List[ResidualReport] = []
     for index, (amps, z) in enumerate(cases):
-        state = make_state(params, space, amps, z, ops=ops, buffer=buffer)
+        coherent = make_state(params, space, amps, ops=ops, buffer=buffer)
         case_meta = {
             "case": index,
             "alpha": str(amps.alpha),
@@ -455,15 +481,16 @@ def crosscheck_suite(
         case_meta.update(_params_meta(params, space, buffer))
 
         if z is None or z.r == 0.0:
+            state = coherent
             want_vac = analytic.coherent_overlap(params, vac_amps, amps)
             want_self = analytic.coherent_overlap(params, amps, amps)
         else:
+            state = _squeeze_and_guard(ops, coherent.vector, z, buffer)
             want_vac = analytic.squeezed_overlap(params, vac_amps, amps, z)
             want_self = analytic.squeezed_overlap(params, amps, amps, z)
-        coherent_bra = make_state(params, space, amps, ops=ops, buffer=buffer)
         overlap_resid = max(
             _relative_error(vacuum.inner(state), want_vac),
-            _relative_error(coherent_bra.inner(state), want_self),
+            _relative_error(coherent.inner(state), want_self),
         )
         reports.append(
             _report(f"overlap[{index}]", overlap_resid, CROSSCHECK_TOL, **case_meta)

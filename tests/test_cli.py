@@ -127,6 +127,16 @@ def test_variance_with_squeeze_echoes_z(capsys):
     assert doc["result"]["squeezed_px"] is True
 
 
+@pytest.mark.parametrize("r", ["150", "400"])
+def test_variance_refuses_an_overflowing_r(capsys, r):
+    # r 400 overflows cosh(2r); at r 150, theta 0.5 the products overflow
+    code = run(["variance", "--mu", "0.5", "--nu", "0.5", "--r", r])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "overflow a float" in captured.err
+
+
 VARIANCE_ROW_KEYS = [
     "dx2", "dy2", "dpx2", "dpy2", "gain_x", "gain_px", "squeezed_x", "squeezed_px",
     "prod_xpx", "prod_ypy", "prod_xy", "prod_pxpy",

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import issparse
+from scipy.sparse import csr_array, diags_array, eye_array, issparse, kron
 
 from ncsq import (
     CutoffOutOfRange,
@@ -41,6 +41,7 @@ from ncsq import (
     safe_norm_fraction,
     squeeze_op,
 )
+from ncsq.fock import _displacement_generator
 
 P05 = make_params(0.5, 0.5, 1.0)
 
@@ -184,6 +185,43 @@ def test_csr_operators_match_dense_solve(theta, space12):
         got = getattr(ops, name).matrix
         assert issparse(got), name
         assert np.abs(got.toarray() - want).max() < 1e-13, name
+
+
+def _ladder(space):
+    """(a, a+, b, b+) as kron products, the basis of every coefficient
+    4-vector, built independently of the engine's ladder pattern."""
+    side = space.cutoff + 1
+    lower = diags_array(np.sqrt(np.arange(1.0, side)), offsets=1)
+    eye = eye_array(side)
+    a = csr_array(kron(lower, eye), dtype=np.complex128)
+    b = csr_array(kron(eye, lower), dtype=np.complex128)
+    return a, a.T.tocsr(), b, b.T.tocsr()
+
+
+def _oracle_generator(ops, amps):
+    """The displacement generator as a sum of scaled operators and adjoints."""
+    alpha, beta = amps.alpha, amps.beta
+    return (alpha * ops.a_def.dag() + beta * ops.b_def.dag()
+            - np.conjugate(alpha) * ops.a_def - np.conjugate(beta) * ops.b_def).matrix
+
+
+@pytest.mark.parametrize("cutoff", [1, 12, 30])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 0.9])
+def test_pattern_operators_equal_the_csr_sums(cutoff, theta):
+    params = make_params(theta or 1e-200, theta or 1e-200, 1.0)
+    space = make_space(cutoff)
+    ops = build_operator_set(params, space)
+    ladder = _ladder(space)
+    names = ("x", "y", "px", "py", "a_def", "b_def")
+    for name, row in zip(names, ops.coeffs):
+        want = sum(c * m for c, m in zip(row, ladder))
+        assert abs(getattr(ops, name).matrix - want).max() <= 1e-15, name
+    for got, want in zip((ops.a_ord, ops.b_ord, *ordinary_mode_ops(space)), ladder[::2] * 2):
+        assert abs(got.matrix - want).max() == 0.0
+    for amps in (ModeAmplitudes(0.4, 0.3j), ModeAmplitudes(-0.7j, 1.0 + 0.2j)):
+        want = _oracle_generator(ops, amps)
+        got = _displacement_generator(ops, amps).matrix
+        assert abs(got - want).max() <= 1e-15 * abs(want).max()
 
 
 def test_phase_space_ops_hermitian(space20):
@@ -428,8 +466,9 @@ def test_vacuum_quadrature_variance(space20):
 def test_expectation_and_variance_requires_hermitian(space12):
     ops = build_operator_set(P05, space12)
     vac = basis_state(space12, 0, 0)
-    with pytest.raises(NonHermitianOperator):
-        expectation_and_variance(vac, ops.a_def)
+    for _ in range(2):  # the second call reads the cached defect
+        with pytest.raises(NonHermitianOperator):
+            expectation_and_variance(vac, ops.a_def)
 
 
 def test_space_mismatch_raises(space12, space20):

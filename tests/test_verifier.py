@@ -32,8 +32,13 @@ from ncsq import (
     squeeze_op,
     supercritical_witness,
 )
-from ncsq import analytic
-from ncsq.fock import PopulationOverflow, _displacement_generator, _squeeze_generator
+from ncsq import analytic, fock
+from ncsq.fock import (
+    PopulationOverflow,
+    SqueezeTooLargeForCutoff,
+    _displacement_generator,
+    _squeeze_generator,
+)
 from ncsq.verifier import (
     MC_MAX_SAMPLES,
     _MC_CHUNK,
@@ -173,6 +178,17 @@ def test_identity_suite_at_a_large_displacement_and_cutoff():
         assert report.passed, (report.check_id, report.residual)
 
 
+def test_identity_suite_refuses_a_failure_the_tail_explains():
+    # at cutoff 40 this coherent state leaks 7e-10 of its population into
+    # the top 5 levels, past the default guard of 1e-10, and its eigenvalue
+    # relation reads 1.2e-7 against 1e-8: a refusal, not a failed check
+    p = make_params(0.8, 0.8, 1.0)
+    amp = 2.5 / math.sqrt(2.0)
+    amps = ModeAmplitudes(amp * cmath.exp(0.25j * math.pi), amp)
+    with pytest.raises(PopulationOverflow, match="eigenvalue_relations read"):
+        identity_suite(p, make_space(40), amps, SqueezeParam(0.0, 0.0))
+
+
 _BOX = st.floats(-2.0, 2.0)
 
 
@@ -283,6 +299,42 @@ def test_crosscheck_admits_what_the_callers_buffer_admits(space12):
     assert all(r.passed for r in reports)
     with pytest.raises(PopulationOverflow, match="within 5 quanta"):
         crosscheck_suite(P05, space12, cases, buffer=5)
+
+
+def _count_expm_multiply(monkeypatch):
+    calls = []
+    real = fock.expm_multiply
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "expm_multiply", counted)
+    return calls
+
+
+def test_crosscheck_builds_each_state_once(space30, monkeypatch):
+    calls = _count_expm_multiply(monkeypatch)
+    cases = [(ModeAmplitudes(0.3, 0.1j), None),
+             (ModeAmplitudes(0.0, 0.2j), SqueezeParam(0.2, 0.5)),
+             (ModeAmplitudes(-0.2j, 0.1), SqueezeParam(0.0, 1.0)),
+             (ModeAmplitudes(0.1, 0.0), SqueezeParam(0.15, -2.0))]
+    reports = crosscheck_suite(P05, space30, cases)
+    assert all(r.passed for r in reports)
+    # one displacement per case and one squeeze per squeezed case
+    assert len(calls) == 2 * 1 + 2 * 2
+
+
+def test_suites_refuse_a_large_squeeze_before_building_a_state(space20, monkeypatch):
+    calls = _count_expm_multiply(monkeypatch)
+    ops = build_operator_set(P05, space20)
+    amps, big = ModeAmplitudes(0.3, 0.0), SqueezeParam(0.75, 0.0)
+    with pytest.raises(SqueezeTooLargeForCutoff):
+        crosscheck_suite(P05, space20, [(amps, None), (amps, big)], ops=ops)
+    with pytest.raises(SqueezeTooLargeForCutoff):
+        identity_suite(P05, space20, amps, big, ops=ops)
+    assert calls == []
+    assert "ground" not in vars(ops)
 
 
 # ---------------------------------------------------------------------------
