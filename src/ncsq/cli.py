@@ -30,7 +30,6 @@ from .params import ConstraintClass, NcParams, NonFinite, NonPositiveParameter, 
 MAX_GRID_POINTS = 10_000_000
 
 DEFAULT_CUTOFF = 40
-DEFAULT_BUFFER = 5
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 42
 
@@ -531,8 +530,8 @@ def _build_parser() -> _Parser:
                    help="second-mode displacement (default 0.2i)")
     p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF,
                    help="per-mode occupation cutoff (default %d)" % DEFAULT_CUTOFF)
-    p.add_argument("--buffer", type=int, default=DEFAULT_BUFFER,
-                   help="safe-subspace buffer levels (default %d)" % DEFAULT_BUFFER)
+    p.add_argument("--buffer", type=int, default=fock.DEFAULT_BUFFER,
+                   help="safe-subspace buffer levels (default %d)" % fock.DEFAULT_BUFFER)
     p.set_defaults(handler=_cmd_check)
 
     p = subs.add_parser("overcompleteness",

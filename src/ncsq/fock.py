@@ -12,9 +12,9 @@ are disjoint; every such operator is built on it from its coefficient
 no sparse sums or transposes.  Generators are at most quadratic in the
 ladder, so states are built by sparse exponential-times-vector products;
 a squeezed state is its coherent state squeezed, so callers that need
-both build the coherent state once.  The only dense dim x dim matrices
-are the unitaries of displacement_op and squeeze_op, about 45 MB each at
-cutoff 40.
+both build the coherent state once.  Every operator is CSR; the one dense
+dim x dim matrix is the unitary of displacement_op, about 45 MB at cutoff
+40, which the benchmark's displacement probe still conjugates.
 
 Truncation is the only approximation.  Operator identities hold exactly on
 the subspace of total occupation <= cutoff - buffer; states are guarded by a
@@ -54,18 +54,13 @@ __all__ = [
     "build_operator_set",
     "check_buffer",
     "commutator",
-    "deformed_ops",
     "deformed_vacuum",
     "displacement_op",
     "expectation",
     "expectation_and_variance",
     "make_space",
     "make_state",
-    "matrix_exp",
-    "ordinary_mode_ops",
-    "phase_space_ops",
     "safe_norm_fraction",
-    "squeeze_op",
 ]
 
 MAX_CUTOFF = 200
@@ -181,8 +176,13 @@ def _check_same_space(left: FockSpace, right: FockSpace) -> None:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Complex matrix tagged with the space it acts on: CSR, or dense for the
-    unitaries; the arithmetic works on both, and mixtures come out dense."""
+    """Complex matrix tagged with the space it acts on.
+
+    Every engine operator is CSR.  The one dense matrix is the unitary of
+    displacement_op, which stays until the benchmark's displacement probe
+    becomes a commutator residual (ROADMAP item 1); the arithmetic works
+    on both, and mixtures come out dense.
+    """
 
     space: FockSpace
     matrix: Union[csr_array, np.ndarray]
@@ -192,9 +192,6 @@ class OperatorMatrix:
         return OperatorMatrix(
             self.space, adjoint.tocsr() if issparse(adjoint) else adjoint.copy()
         )
-
-    def hermitized(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, 0.5 * (self.matrix + self.dag().matrix))
 
     @functools.cached_property
     def _hermiticity(self) -> Tuple[float, float]:
@@ -339,32 +336,6 @@ def _ladder_coefficients(params: NcParams) -> np.ndarray:
     return np.vstack([plane, a_def, b_def])
 
 
-def ordinary_mode_ops(space: FockSpace) -> Tuple[OperatorMatrix, OperatorMatrix]:
-    """Ordinary (undeformed) annihilators a, b as truncated matrices."""
-    return (OperatorMatrix(space, _from_coefficients(space, _UNIT[0])),
-            OperatorMatrix(space, _from_coefficients(space, _UNIT[2])))
-
-
-def phase_space_ops(
-    params: NcParams, space: FockSpace
-) -> Tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """Plane operators (x, y, px, py) realised on the truncated space."""
-    ops = build_operator_set(params, space)
-    return ops.x, ops.y, ops.px, ops.py
-
-
-def deformed_ops(
-    params: NcParams, space: FockSpace
-) -> Tuple[OperatorMatrix, OperatorMatrix]:
-    """Deformed annihilators built from the plane operators.
-
-    The two satisfy the usual single-mode relations plus the cross relation
-    [a_def, b_def+] = i*theta.
-    """
-    ops = build_operator_set(params, space)
-    return ops.a_def, ops.b_def
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
     """All the matrices most callers need, built once per (params, space);
@@ -409,24 +380,6 @@ def build_operator_set(params: NcParams, space: FockSpace) -> OperatorSet:
     )
 
 
-def matrix_exp(op: OperatorMatrix, tol: float = 1e-12) -> OperatorMatrix:
-    """Dense matrix exponential with a finiteness guard on the result.
-
-    A sparse input is densified first: the result is dense in any case.
-    The underlying scaling-and-squaring method is backward stable well
-    below the default tol; for anti-Hermitian input the result is unitary
-    to within about 10*tol in max norm.  tol documents the contract, it is
-    not an algorithm knob.
-    """
-    matrix = op.matrix.toarray() if issparse(op.matrix) else op.matrix
-    if not np.isfinite(matrix).all():
-        raise NonFinite("matrix exponential of a non-finite matrix")
-    result = expm(matrix)
-    if not np.isfinite(result).all():
-        raise NonFinite("matrix exponential produced non-finite entries")
-    return OperatorMatrix(op.space, result)
-
-
 def _displacement_generator(ops: OperatorSet, amps: ModeAmplitudes) -> OperatorMatrix:
     """alpha a_def+ + beta b_def+ - conj(alpha) a_def - conj(beta) b_def,
     built from its coefficient 4-vector."""
@@ -454,25 +407,23 @@ def displacement_op(
     params: NcParams, space: FockSpace, amps: ModeAmplitudes,
     ops: Optional[OperatorSet] = None,
 ) -> OperatorMatrix:
-    """Unitary displacement of the deformed pair by (alpha, beta)."""
-    if ops is None:
-        ops = build_operator_set(params, space)
-    return matrix_exp(_displacement_generator(ops, amps))
+    """Dense unitary displacement of the deformed pair by (alpha, beta).
 
-
-def squeeze_op(
-    params: NcParams, space: FockSpace, z: SqueezeParam,
-    ops: Optional[OperatorSet] = None, max_r: float = DEFAULT_MAX_SQUEEZE,
-) -> OperatorMatrix:
-    """Two-mode squeeze of the deformed pair; refuses r beyond max_r.
-
-    The refusal is a coarse gate: even below it, states are still subject to
-    the tail-population guard in make_state.
+    The only dense dim x dim array of the engine: no state or check uses
+    it (make_state applies the generator with expm_multiply), but the
+    benchmark's displacement probe conjugates it, so it stays until that
+    probe becomes a commutator residual (ROADMAP item 1).  Raises
+    NonFinite on a non-finite generator or unitary.
     """
-    _refuse_large_squeeze(z, max_r)
     if ops is None:
         ops = build_operator_set(params, space)
-    return matrix_exp(_squeeze_generator(ops, z))
+    gen = _displacement_generator(ops, amps).matrix.toarray()
+    if not np.isfinite(gen).all():
+        raise NonFinite("displacement generator has non-finite entries")
+    unitary = expm(gen)
+    if not np.isfinite(unitary).all():
+        raise NonFinite("displacement unitary has non-finite entries")
+    return OperatorMatrix(ops.space, unitary)
 
 
 def deformed_vacuum(

@@ -70,7 +70,6 @@ __all__ = [
     "algebra_residuals",
     "convergence_probe",
     "crosscheck_suite",
-    "fit_mode_transform",
     "identity_suite",
     "overcompleteness_mc",
     "supercritical_witness",
@@ -251,36 +250,6 @@ def _span(ops: OperatorSet) -> List:
             ops.b_def.dag().matrix, ops.a_def.dag().matrix]
 
 
-def fit_mode_transform(
-    conjugated: OperatorMatrix,
-    ops: OperatorSet,
-    buffer: int = DEFAULT_BUFFER,
-    block_top: Optional[int] = None,
-) -> Tuple[analytic.ModeTransform, float]:
-    """Least-squares coefficients of a conjugated annihilator.
-
-    Expresses the given matrix as c_a*a + c_b*b + c_bdag*b+ + c_adag*a+
-    (deformed operators) over a truncation-clean block and returns the
-    coefficient quadruple together with the max-norm fit residual there.
-
-    A full matrix-exponential conjugation smears edge artifacts well
-    below cutoff - buffer (unlike single commutators), so callers
-    fitting an explicitly conjugated matrix should pass a small
-    ``block_top`` (bound on total occupation) to stay in clean matrix
-    elements; see adjoint_mode_transform for the route that does not
-    need this.
-    """
-    space = ops.space
-    idx = _safe_indices(space, buffer)
-    if block_top is not None:
-        idx = idx[space.n_tot[idx] <= block_top]
-    table = _block_entries(_span(ops) + [conjugated.matrix], idx)
-    design, rhs = table[:, :4], table[:, 4]
-    coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    resid = float(np.abs(design @ coef - rhs).max(initial=0.0))
-    return analytic.ModeTransform(*(complex(c) for c in coef)), resid
-
-
 def adjoint_mode_transform(
     gen: OperatorMatrix, ops: OperatorSet, buffer: int = DEFAULT_BUFFER
 ) -> Tuple[analytic.ModeTransform, analytic.ModeTransform, float]:
@@ -345,9 +314,11 @@ def identity_suite(
     SqueezeTooLargeForCutoff, before building anything.  The eigenvalue
     states are guarded at make_state's default buffer, not the caller's
     (at buffer = cutoff that would count all population as tail), and
-    the squeezed one is the coherent one, squeezed.  An eigenvalue
-    residual above OPERATOR_TOL on a state whose tail exceeds the default
-    guard raises PopulationOverflow instead of a failed report.
+    below cutoff 5 at the cutoff itself, where all population off |0,0>
+    counts as tail, so PopulationOverflow names the cutoff.  The squeezed
+    one is the coherent one, squeezed.  An eigenvalue residual above
+    OPERATOR_TOL on a state whose tail exceeds that guard raises
+    PopulationOverflow instead of a failed report.
     """
     check_buffer(space, buffer)
     _refuse_large_squeeze(z, DEFAULT_MAX_SQUEEZE)
@@ -397,7 +368,8 @@ def identity_suite(
     # the default guard admits (3e-10 at cutoff 30, r 0.3), so the states
     # are built under a looser one; a failure on a state the default guard
     # would refuse is the truncation's, and is refused below.
-    coh = make_state(params, space, amps, ops=ops, tail_tol=1e-6)
+    guard = min(DEFAULT_BUFFER, space.cutoff)
+    coh = make_state(params, space, amps, ops=ops, buffer=guard, tail_tol=1e-6)
     states = [coh]
     eig = max(
         float(np.linalg.norm(ops.a_def.matrix @ coh.vector - lam_a * coh.vector)),
@@ -405,17 +377,17 @@ def identity_suite(
     )
     if z.r > 0.0:
         # S a S+ on the squeezed state, applied as S+, then a, then S
-        sqz = _squeeze_and_guard(ops, coh.vector, z, tail_tol=1e-6)
+        sqz = _squeeze_and_guard(ops, coh.vector, z, guard, tail_tol=1e-6)
         states.append(sqz)
         unsqueezed = expm_multiply(-squeeze.matrix, sqz.vector)
         for mode, lam in ((ops.a_def, lam_a), (ops.b_def, lam_b)):
             lowered = expm_multiply(squeeze.matrix, mode.matrix @ unsqueezed)
             eig = max(eig, float(np.linalg.norm(lowered - lam * sqz.vector)))
-    leak = max(safe_norm_fraction(state) for state in states)
+    leak = max(safe_norm_fraction(state, guard) for state in states)
     if eig > OPERATOR_TOL and leak > DEFAULT_TAIL_TOL:
         raise PopulationOverflow(
             f"eigenvalue_relations read {eig:.3e} on a state with {leak:.3e} of "
-            f"its population within {DEFAULT_BUFFER} quanta of cutoff "
+            f"its population within {guard} quanta of cutoff "
             f"{space.cutoff}; increase the cutoff"
         )
     reports.append(

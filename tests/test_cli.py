@@ -256,6 +256,18 @@ def test_check_bad_cutoff_exits_two(capsys):
     assert run(["check", "--mu", "0.5", "--nu", "0.5", "--cutoff", "999"]) == 2
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_check_small_cutoff_refuses_the_tail_not_a_buffer(capsys, cutoff):
+    # the eigenvalue states are guarded within the cutoff, never at a
+    # buffer beyond it the user did not pass
+    code = run(["check", "--mu", "0.5", "--nu", "0.5", "--cutoff", str(cutoff),
+                "--buffer", "0", "--alpha", "0.1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "quanta of cutoff %d" % cutoff in err
+    assert "got 5" not in err
+
+
 # ---------------------------------------------------------------------------
 # overcompleteness
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.sparse import csr_array, diags_array, eye_array, issparse, kron
 
 from ncsq import (
@@ -35,13 +36,11 @@ from ncsq import (
     make_params,
     make_space,
     make_state,
-    matrix_exp,
-    ordinary_mode_ops,
-    phase_space_ops,
     safe_norm_fraction,
-    squeeze_op,
 )
-from ncsq.fock import _displacement_generator
+import ncsq
+from ncsq import fock, verifier
+from ncsq.fock import _displacement_generator, _squeeze_generator
 
 P05 = make_params(0.5, 0.5, 1.0)
 
@@ -88,7 +87,8 @@ def test_space_equality_is_by_cutoff():
 
 
 def test_ordinary_ladder_elements(space12):
-    a, b = ordinary_mode_ops(space12)
+    ops = build_operator_set(P05, space12)
+    a, b = ops.a_ord, ops.b_ord
     one = basis_state(space12, 1, 0)
     two = basis_state(space12, 2, 0)
     assert one.inner(a @ two) == pytest.approx(math.sqrt(2.0))
@@ -98,7 +98,7 @@ def test_ordinary_ladder_elements(space12):
 
 
 def test_ordinary_commutator_sees_truncation_only_at_edge(space12):
-    a, _ = ordinary_mode_ops(space12)
+    a = build_operator_set(P05, space12).a_ord
     comm = commutator(a, a.dag()).matrix - np.eye(space12.dim)
     # sqrt(n+1)^2 - n rounds at the last bit, so near-zero rather than zero;
     # the only structural artifact is the last per-mode level, where the
@@ -135,8 +135,9 @@ def _reconstruct_ordinary(params, x, y, px, py):
 @pytest.mark.parametrize("theta", [0.1, 0.5, 0.9])
 def test_phase_space_ops_invert_the_forward_map(theta, space20):
     params = make_params(theta, theta, 1.0)
-    x, y, px, py = phase_space_ops(params, space20)
-    a, b = ordinary_mode_ops(space20)
+    ops = build_operator_set(params, space20)
+    x, y, px, py = ops.x, ops.y, ops.px, ops.py
+    a, b = ops.a_ord, ops.b_ord
     rec_a, rec_b = _reconstruct_ordinary(params, x, y, px, py)
     # linear identity, no operator products: exact on the full space
     assert np.abs(rec_a - a.matrix).max() < 1e-12
@@ -185,6 +186,15 @@ def test_csr_operators_match_dense_solve(theta, space12):
         got = getattr(ops, name).matrix
         assert issparse(got), name
         assert np.abs(got.toarray() - want).max() < 1e-13, name
+    # every engine operator is CSR; only displacement_op's unitary is dense
+    engine = {name: getattr(ops, name) for name in (
+        "x", "y", "px", "py", "a_def", "b_def", "a_ord", "b_ord",
+        "pair_annihilator", "pair_creator")}
+    engine["displacement generator"] = _displacement_generator(
+        ops, ModeAmplitudes(0.4, 0.3j))
+    engine["squeeze generator"] = _squeeze_generator(ops, SqueezeParam(0.3, 0.9))
+    for name, op in engine.items():
+        assert issparse(op.matrix) and op.matrix.format == "csr", name
 
 
 def _ladder(space):
@@ -216,7 +226,7 @@ def test_pattern_operators_equal_the_csr_sums(cutoff, theta):
     for name, row in zip(names, ops.coeffs):
         want = sum(c * m for c, m in zip(row, ladder))
         assert abs(getattr(ops, name).matrix - want).max() <= 1e-15, name
-    for got, want in zip((ops.a_ord, ops.b_ord, *ordinary_mode_ops(space)), ladder[::2] * 2):
+    for got, want in zip((ops.a_ord, ops.b_ord), ladder[::2]):
         assert abs(got.matrix - want).max() == 0.0
     for amps in (ModeAmplitudes(0.4, 0.3j), ModeAmplitudes(-0.7j, 1.0 + 0.2j)):
         want = _oracle_generator(ops, amps)
@@ -225,14 +235,16 @@ def test_pattern_operators_equal_the_csr_sums(cutoff, theta):
 
 
 def test_phase_space_ops_hermitian(space20):
-    for op in phase_space_ops(P05, space20):
+    ops = build_operator_set(P05, space20)
+    for op in (ops.x, ops.y, ops.px, ops.py):
         assert op.hermiticity_defect() < 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.9])
 def test_phase_space_commutators(theta, space30):
     params = make_params(theta, theta, 1.0)
-    x, y, px, py = phase_space_ops(params, space30)
+    ops = build_operator_set(params, space30)
+    x, y, px, py = ops.x, ops.y, ops.px, ops.py
     eye = np.eye(space30.dim)
     pairs = [
         (x, y, 1j * params.mu),
@@ -249,9 +261,9 @@ def test_phase_space_commutators(theta, space30):
 
 def test_phase_space_ops_refuse_saturation(space12):
     with pytest.raises(SaturatedOrSuperCritical):
-        phase_space_ops(make_params(1.0, 1.0, 1.0), space12)
+        build_operator_set(make_params(1.0, 1.0, 1.0), space12)
     with pytest.raises(SaturatedOrSuperCritical):
-        phase_space_ops(make_params(2.0, 2.0, 1.0), space12)
+        build_operator_set(make_params(2.0, 2.0, 1.0), space12)
 
 
 def test_deformed_algebra(space30):
@@ -284,26 +296,7 @@ def test_operator_set_shares_space(space12):
 
 
 # ---------------------------------------------------------------------------
-# matrix_exp and the unitaries
-
-
-def test_matrix_exp_of_zero_is_identity(space12):
-    zero = OperatorMatrix(space12, np.zeros((space12.dim, space12.dim)))
-    assert np.array_equal(matrix_exp(zero).matrix, np.eye(space12.dim))
-
-
-def test_matrix_exp_diagonal_phase(space12):
-    gen = OperatorMatrix(
-        space12, 1j * math.pi * np.eye(space12.dim, dtype=np.complex128))
-    got = matrix_exp(gen).matrix
-    assert np.allclose(np.diag(got), -1.0, atol=1e-12)
-
-
-def test_matrix_exp_rejects_nonfinite(space12):
-    bad = np.zeros((space12.dim, space12.dim))
-    bad[0, 0] = math.nan
-    with pytest.raises(NonFinite):
-        matrix_exp(OperatorMatrix(space12, bad))
+# the unitaries
 
 
 def test_displacement_unitary(space20):
@@ -318,19 +311,30 @@ def test_displacement_of_nothing_is_identity(space20):
     assert np.abs(disp.matrix - np.eye(space20.dim)).max() < 1e-14
 
 
+def test_displacement_op_rejects_nonfinite(space12):
+    # a NaN weight in a_def reaches the generator
+    ops = build_operator_set(P05, space12)
+    coeffs = ops.coeffs.copy()
+    coeffs[4, 0] = math.nan
+    with pytest.raises(NonFinite):
+        displacement_op(P05, space12, ModeAmplitudes(0.1, 0.0),
+                        dataclasses.replace(ops, coeffs=coeffs))
+
+
+def _dense_squeeze(ops, z):
+    """The squeeze unitary by a dense matrix exponential: a reference only,
+    the engine squeezes states with expm_multiply."""
+    return OperatorMatrix(ops.space, expm(_squeeze_generator(ops, z).matrix.toarray()))
+
+
 def test_squeeze_adjoint_is_negated_squeeze():
     space = make_space(40)
     ops = build_operator_set(P05, space)
     z = SqueezeParam(0.3, math.pi / 4)
     neg = SqueezeParam(0.3, math.pi / 4 - math.pi)
-    sq = squeeze_op(P05, space, z, ops)
-    sq_neg = squeeze_op(P05, space, neg, ops)
+    sq = _dense_squeeze(ops, z)
+    sq_neg = _dense_squeeze(ops, neg)
     assert np.abs(sq.dag().matrix - sq_neg.matrix).max() < 1e-11
-
-
-def test_squeeze_refuses_large_r(space12):
-    with pytest.raises(SqueezeTooLargeForCutoff):
-        squeeze_op(P05, space12, SqueezeParam(0.8, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +485,26 @@ def test_space_mismatch_raises(space12, space20):
 
 
 def test_operator_algebra_helpers(space12):
-    a, b = ordinary_mode_ops(space12)
+    ops = build_operator_set(P05, space12)
+    a, b = ops.a_ord, ops.b_ord
     doubled = 2.0 * a
     assert np.array_equal(doubled.matrix.toarray(), (2.0 * a.matrix).toarray())
     diff = (a + b) - b
     assert np.abs(diff.matrix - a.matrix).max() == 0.0
     assert (-a).matrix[1, 0] == -a.matrix[1, 0]
-    herm = (1j * (a - a.dag())).hermitized()
+    anti = 1j * (a - a.dag())
+    herm = 0.5 * (anti + anti.dag())
     assert herm.hermiticity_defect() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# public surface
+
+
+def test_star_import_and_every_exported_name_resolves():
+    namespace = {}
+    exec("from ncsq import *", namespace)
+    assert set(ncsq.__all__) <= set(namespace)
+    for module in (ncsq, fock, verifier):
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fit_mode_block, squeeze_conjugated_block
 from ncsq import (
     BufferOutOfRange,
     ModeAmplitudes,
@@ -24,12 +25,10 @@ from ncsq import (
     convergence_probe,
     crosscheck_suite,
     displacement_op,
-    fit_mode_transform,
     identity_suite,
     make_params,
     make_space,
     overcompleteness_mc,
-    squeeze_op,
     supercritical_witness,
 )
 from ncsq import analytic, fock
@@ -78,7 +77,9 @@ def test_algebra_residuals_complete_and_small(space20):
 
 def test_fit_recovers_a_bare_operator(space20):
     ops = build_operator_set(P05, space20)
-    transform, resid = fit_mode_transform(ops.a_def, ops)
+    idx = np.flatnonzero(space20.n_tot <= space20.cutoff - 5)
+    block = ops.a_def.matrix[idx][:, idx].toarray()
+    transform, resid = fit_mode_block(ops, block, idx)
     assert resid < 1e-12
     assert transform.c_a == pytest.approx(1.0, abs=1e-12)
     for coef in (transform.c_b, transform.c_bdag, transform.c_adag):
@@ -90,12 +91,12 @@ def test_direct_fit_adjoint_and_closed_form_agree(space30):
     block, the adjoint flow, and the closed forms."""
     z = SqueezeParam(0.2, 0.6)
     ops = build_operator_set(P05, space30)
-    sq = squeeze_op(P05, space30, z, ops)
-    conj_a = sq @ ops.a_def @ sq.dag()
+    idx = np.flatnonzero(space30.n_tot <= 6)
+    conj_a = squeeze_conjugated_block(ops, z, ops.a_def, idx)
 
     # full-exponential conjugation reflects truncation error deep into the
     # matrix, so the direct fit must stay on a low-occupation block
-    fitted, fit_resid = fit_mode_transform(conj_a, ops, block_top=6)
+    fitted, fit_resid = fit_mode_block(ops, conj_a, idx)
     assert fit_resid < 1e-8
 
     ad_a, _, closure = adjoint_mode_transform(_squeeze_generator(ops, z), ops)
