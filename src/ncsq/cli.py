@@ -226,7 +226,7 @@ def sweep(spec: SweepSpec, quantity: str) -> RunReport:
             # sqrt(mu*nu) underflows to an exact zero at value == 0.
             mu = nu = (value * hbar) if value > 0.0 else 1e-200
         params = make_params(mu, nu, hbar)
-        z = SqueezeParam(r, phi) if r > 0.0 else None
+        z = SqueezeParam(r, phi) if r != 0.0 else None
         full = _variance_row(params, z)
         gain_x = float(full["gain_x"])  # type: ignore[arg-type]
         gain_px = float(full["gain_px"])  # type: ignore[arg-type]

@@ -47,6 +47,19 @@ def squeeze_conjugated_block(ops, z, op, idx):
     return cols[idx]
 
 
+def squeezed_eigen_residual(ops, z, vec, lam_a, lam_b):
+    """max over m in (a_def, b_def) of ||S m S+ vec - lambda_m vec||, with
+    S = exp(G) the squeeze applied as S+, then m, then S by expm_multiply:
+    the eigenvalue relation of a squeezed state vec = S|coh>, checked
+    through the round trip rather than on |coh> itself."""
+    gen = _squeeze_generator(ops, z).matrix
+    unsqueezed = expm_multiply(-gen, vec)
+    return max(
+        float(np.linalg.norm(expm_multiply(gen, mode.matrix @ unsqueezed) - lam * vec))
+        for mode, lam in ((ops.a_def, lam_a), (ops.b_def, lam_b))
+    )
+
+
 def fit_mode_block(ops, block, idx):
     """Least-squares coefficients of an (idx, idx) block over the deformed
     (a_def, b_def, b_def+, a_def+), the ModeTransform order, with the

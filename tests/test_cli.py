@@ -369,6 +369,20 @@ def test_sweep_guards(capsys):
     assert run(backwards) == 2
 
 
+@pytest.mark.parametrize("grid", [
+    ["--variable", "r", "--start", "-0.5", "--stop", "0.5", "--step", "0.25"],
+    ["--variable", "phi", "--start", "0", "--stop", "1", "--step", "0.5",
+     "--r", "-0.5"],
+])
+def test_sweep_refuses_a_negative_r_as_variance_does(capsys, grid):
+    base = ["--mu", "0.5", "--nu", "0.5", "--quantity", "dx2"]
+    assert run(["variance", "--mu", "0.5", "--nu", "0.5", "--r", "-0.5"]) == 2
+    want = capsys.readouterr().err
+    assert "squeeze magnitude must be >= 0" in want
+    assert run(["sweep"] + grid + base) == 2
+    assert capsys.readouterr().err == want
+
+
 def test_sweep_function_is_importable():
     spec = SweepSpec(variable="theta", start=0.0, stop=0.6, step=0.2,
                      fixed={"hbar": 1.0, "r": 0.3, "phi": 0.5 * math.pi})

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fit_mode_block, squeeze_conjugated_block
+from conftest import fit_mode_block, squeeze_conjugated_block, squeezed_eigen_residual
 from ncsq import (
     BufferOutOfRange,
     ModeAmplitudes,
@@ -28,10 +28,11 @@ from ncsq import (
     identity_suite,
     make_params,
     make_space,
+    make_state,
     overcompleteness_mc,
     supercritical_witness,
 )
-from ncsq import analytic, fock
+from ncsq import analytic, fock, verifier
 from ncsq.fock import (
     PopulationOverflow,
     SqueezeTooLargeForCutoff,
@@ -179,6 +180,39 @@ def test_identity_suite_at_a_large_displacement_and_cutoff():
         assert report.passed, (report.check_id, report.residual)
 
 
+@pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("amps, z", [
+    (ModeAmplitudes(0.5, 0.2j), SqueezeParam(0.3, math.pi / 4)),
+    (ModeAmplitudes(0.7, 0.0), SqueezeParam(0.2, -1.0)),
+    (ModeAmplitudes(0.0, -0.4j), SqueezeParam(0.38 / 1.8, 2.0)),
+])
+def test_eigenvalue_relations_equal_the_squeezed_round_trip(space30, theta, amps, z):
+    """The truncated squeeze S is unitary, so the relation of S m S+ on
+    S|coh>, applied as S+, then m, then S, has the residual that
+    identity_suite reports on |coh> alone."""
+    p = make_params(theta, theta, 1.0)
+    ops = build_operator_set(p, space30)
+    by_id = {r.check_id: r for r in identity_suite(p, space30, amps, z, ops=ops)}
+    # squeezing fattens the tail (3e-10 within 5 quanta at r 0.3, past the
+    # default guard); the oracle only needs the vector
+    sqz = make_state(p, space30, amps, z, ops=ops, tail_tol=1e-6)
+    round_trip = squeezed_eigen_residual(ops, z, sqz.vector,
+                                         *coherent_eigenvalues(p, amps))
+    assert abs(round_trip - by_id["eigenvalue_relations"].residual) <= 1e-14
+
+
+@pytest.mark.parametrize("amps, calls_made", [
+    (ModeAmplitudes(0.5, 0.2j), 1),
+    (ModeAmplitudes(0.0, 0.0), 0),
+])
+def test_identity_suite_makes_one_exponential(space30, monkeypatch, amps, calls_made):
+    ops = build_operator_set(P05, space30)
+    calls = _count_expm_multiply(monkeypatch)
+    identity_suite(P05, space30, amps, SqueezeParam(0.3, math.pi / 4), ops=ops)
+    assert len(calls) == calls_made
+    assert not hasattr(verifier, "expm_multiply")
+
+
 def test_identity_suite_refuses_a_failure_the_tail_explains():
     # at cutoff 40 this coherent state leaks 7e-10 of its population into
     # the top 5 levels, past the default guard of 1e-10, and its eigenvalue
@@ -186,7 +220,7 @@ def test_identity_suite_refuses_a_failure_the_tail_explains():
     p = make_params(0.8, 0.8, 1.0)
     amp = 2.5 / math.sqrt(2.0)
     amps = ModeAmplitudes(amp * cmath.exp(0.25j * math.pi), amp)
-    with pytest.raises(PopulationOverflow, match="eigenvalue_relations read"):
+    with pytest.raises(PopulationOverflow, match="within 5 quanta of cutoff 40"):
         identity_suite(p, make_space(40), amps, SqueezeParam(0.0, 0.0))
 
 
