@@ -10,11 +10,15 @@ space caches one CSR pattern, the union of the four ladder patterns, which
 are disjoint; every such operator is built on it from its coefficient
 4-vector, one coefficient times one ladder weight per stored entry, with
 no sparse sums or transposes.  Generators are at most quadratic in the
-ladder, so states are built by sparse exponential-times-vector products;
-a squeezed state is its coherent state squeezed, so callers that need
-both build the coherent state once.  Every operator is CSR; the one dense
-dim x dim matrix is the unitary of displacement_op, about 45 MB at cutoff
-40, which the benchmark's displacement probe still conjugates.
+ladder, so states are built by exponential-times-vector products:
+expm_multiply, a truncated Taylor series whose degree and step count come
+from the generator's exact 1-norm; a squeezed state is its coherent state
+squeezed, so callers that need both build the coherent state once.  Every
+operator is CSR; the one dense dim x dim matrix is the unitary of
+displacement_op, about 45 MB at cutoff 40, which the tests and the
+benchmark's displacement probe still conjugate.  It is also the only
+function that loads scipy.linalg, inside its body; the module needs only
+scipy.sparse.
 
 Truncation is the only approximation.  Operator identities hold exactly on
 the subspace of total occupation <= cutoff - buffer; states are guarded by a
@@ -31,9 +35,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import csr_array, issparse
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse import csr_array, eye_array, issparse
 
 from .analytic import ModeAmplitudes, SqueezeParam
 from .params import ConstraintClass, NcParams, NonFinite
@@ -58,6 +60,7 @@ __all__ = [
     "displacement_op",
     "expectation",
     "expectation_and_variance",
+    "expm_multiply",
     "make_space",
     "make_state",
     "safe_norm_fraction",
@@ -409,12 +412,16 @@ def displacement_op(
 ) -> OperatorMatrix:
     """Dense unitary displacement of the deformed pair by (alpha, beta).
 
-    The only dense dim x dim array of the engine: no state or check uses
-    it (make_state applies the generator with expm_multiply), but the
-    benchmark's displacement probe conjugates it, so it stays until that
-    probe becomes a commutator residual (ROADMAP item 1).  Raises
-    NonFinite on a non-finite generator or unitary.
+    The only dense dim x dim array of the engine, and the only caller of
+    scipy.linalg, which it imports here so that no other path loads it.
+    No state or check uses it (make_state applies the generator with
+    expm_multiply); the tests and the benchmark's displacement probe
+    conjugate it, so it stays until that probe becomes a commutator
+    residual (ROADMAP item 1).  Raises NonFinite on a non-finite generator
+    or unitary.
     """
+    from scipy.linalg import expm
+
     if ops is None:
         ops = build_operator_set(params, space)
     gen = _displacement_generator(ops, amps).matrix.toarray()
@@ -478,6 +485,66 @@ def deformed_vacuum(
     return StateVector(space, vec).normalized()
 
 
+# Al-Mohy and Higham's theta_m for double precision: the largest 1-norm of
+# the (shifted) matrix for which m Taylor terms meet the unit roundoff.
+# m <= 30 from Higham and Al-Mohy, Acta Numerica 19 (2010), table A.3; the
+# rest from Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011), table 3.1.
+_TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+
+
+def expm_multiply(matrix: Union[csr_array, np.ndarray], block: np.ndarray) -> np.ndarray:
+    """exp(matrix) @ block for a square CSR or dense matrix and a vector or
+    block of columns.
+
+    The truncated Taylor algorithm of Al-Mohy and Higham (2011), algorithm
+    3.2: the matrix is shifted by its mean diagonal mu, the exponential of
+    the rest is taken in s steps of a degree-m Taylor polynomial, each step
+    stops early once two successive terms fall below the unit roundoff of
+    the partial sum, and exp(mu/s) is restored per step.  (m, s) minimise
+    m*s over the theta table, from the exact 1-norm of the shifted matrix
+    (its largest absolute column sum), so no norm estimate is needed.
+    Raises NonFinite on a non-finite matrix.
+    """
+    dim = matrix.shape[0]
+    mu = matrix.diagonal().sum() / dim
+    if mu != 0.0:
+        eye = eye_array(dim, format="csr") if issparse(matrix) else np.eye(dim)
+        matrix = matrix - mu * eye
+    norm = float(abs(matrix).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise NonFinite("matrix of the exponential has non-finite entries")
+    if norm == 0.0:
+        degree, steps = 0, 1
+    else:
+        degree, steps = min(
+            ((m, math.ceil(norm / theta)) for m, theta in _TAYLOR_THETA.items()),
+            key=lambda ms: ms[0] * ms[1],
+        )
+    eta = np.exp(mu / steps)
+    out = block
+    for _ in range(steps):
+        term = out
+        c1 = np.linalg.norm(term, np.inf)
+        for j in range(degree):
+            term = matrix @ term
+            term *= 1.0 / (steps * (j + 1))
+            c2 = np.linalg.norm(term, np.inf)
+            out = out + term
+            if c1 + c2 <= 2.0 ** -53 * np.linalg.norm(out, np.inf):
+                break
+            c1 = c2
+        out = eta * out
+    return out
+
+
 def make_state(
     params: NcParams,
     space: FockSpace,
@@ -492,8 +559,9 @@ def make_state(
     """Displaced, optionally squeezed state of the deformed pair.
 
     Pipeline: deformed vacuum, then the displacement, then the squeeze (so
-    the squeeze acts last), each unitary applied by Krylov-style
-    exponential-times-vector products rather than a full matrix exponential.
+    the squeeze acts last), each unitary applied to the vector by
+    expm_multiply's truncated Taylor series rather than formed as a full
+    matrix exponential.
     The result is normalised and guarded: if more than tail_tol of its
     population sits within ``buffer`` quanta of the cutoff, the truncation
     cannot be trusted and PopulationOverflow is raised.

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from scipy.linalg import expm
 from scipy.sparse import csr_array, eye_array
 
 from . import analytic
@@ -47,6 +46,7 @@ from .fock import (
     check_buffer,
     commutator,
     expectation_and_variance,
+    expm_multiply as _expm_action,
     make_space,
     make_state,
 )
@@ -255,7 +255,8 @@ def adjoint_mode_transform(
 
     The commutator of the squeeze generator with any of (a, b, b+, a+)
     lands back in that span, so conjugation by exp(G) acts on the span
-    through a 4x4 matrix exponential.  Commutators, unlike full
+    through a 4x4 matrix exponential, the engine's Taylor expm_multiply
+    applied to the 4x4 identity.  Commutators, unlike full
     conjugations, are exact on the safe block at any squeeze strength,
     which makes this route accurate where a direct fit of S a S+ drowns
     in reflected truncation error.  Returns the transforms of the two
@@ -271,7 +272,7 @@ def adjoint_mode_transform(
     design, comms = table[:, :4], table[:, 4:]
     action, *_ = np.linalg.lstsq(design, comms, rcond=None)
     closure = float(np.abs(design @ action - comms).max(initial=0.0))
-    flow = expm(action)
+    flow = _expm_action(action, np.eye(4))
     ad_a, ad_b = (analytic.ModeTransform(*(complex(c) for c in flow[:, col]))
                   for col in (0, 1))
     return ad_a, ad_b, closure

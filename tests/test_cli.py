@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -459,3 +463,40 @@ def test_out_writes_single_json(tmp_path):
 def test_cli_never_raises_on_junk(junk):
     code = run(junk)
     assert code in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# import graph
+
+
+# Run in a fresh interpreter: a passing `ncsq check` (cutoff 12 refuses the
+# default state's tail) through cli.run, then the scipy linear-algebra
+# modules loaded so far, then displacement_op, whose dense expm is
+# imported inside it.
+_IMPORT_GRAPH_PROBE = """
+import contextlib, io, json, sys
+import numpy as np
+import ncsq.cli
+from ncsq import ModeAmplitudes, cli, fock, make_params
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(["check", "--mu", "0.5", "--nu", "0.5", "--cutoff", "16",
+                    "--r", "0.1", "--phi", "0.5", "--alpha", "0.2", "--beta", "0.1i"])
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("scipy.linalg", "scipy.sparse.linalg")))
+space = fock.make_space(12)
+disp = fock.displacement_op(make_params(0.5, 0.5, 1.0), space, ModeAmplitudes(0.4, 0.3j))
+defect = np.abs(disp.dag().matrix @ disp.matrix - np.eye(space.dim)).max()
+print(json.dumps({"code": code, "loaded": loaded, "defect": float(defect)}))
+"""
+
+
+def test_check_loads_no_scipy_linear_algebra():
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    assert result["loaded"] == []
+    assert result["defect"] < 1e-10

@@ -14,6 +14,8 @@ import pytest
 from scipy.linalg import expm
 from scipy.sparse import csr_array, diags_array, eye_array, issparse, kron
 
+from conftest import squeezed_eigen_residual
+
 from ncsq import (
     CutoffOutOfRange,
     ModeAmplitudes,
@@ -28,6 +30,7 @@ from ncsq import (
     StateVector,
     basis_state,
     build_operator_set,
+    coherent_eigenvalues,
     commutator,
     deformed_vacuum,
     displacement_op,
@@ -338,6 +341,62 @@ def test_squeeze_adjoint_is_negated_squeeze():
 
 
 # ---------------------------------------------------------------------------
+# the Taylor exponential, against scipy's routines as test-only references
+
+
+@pytest.mark.parametrize("cutoff", [12, 30, 120, 200])
+@pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
+def test_expm_multiply_matches_scipy_on_the_generators(theta, cutoff):
+    from scipy.sparse.linalg import expm_multiply as reference
+
+    p = make_params(theta, theta, 1.0)
+    ops = build_operator_set(p, make_space(cutoff))
+    vec = ops.ground.vector
+    gens = [_displacement_generator(ops, ModeAmplitudes(1.5 * np.exp(0.3j), -2.0j)),
+            _squeeze_generator(ops, SqueezeParam(0.7, 1.0))]
+    for gen in gens:
+        got = fock.expm_multiply(gen.matrix, vec)
+        assert np.abs(got - reference(gen.matrix, vec)).max() < 1e-14
+        vec = got
+
+
+@pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("r", [0.05, 0.3, 0.7])
+def test_expm_multiply_matches_dense_expm_on_the_adjoint_actions(theta, r, monkeypatch, space12):
+    """The 4x4 flows of adjoint_mode_transform, recorded from its calls."""
+    calls = []
+
+    def recorded(matrix, block):
+        flow = fock.expm_multiply(matrix, block)
+        calls.append((matrix, block, flow))
+        return flow
+
+    monkeypatch.setattr(verifier, "_expm_action", recorded)
+    ops = build_operator_set(make_params(theta, theta, 1.0), space12)
+    for phi in (0.0, 1.0, -2.5):
+        verifier.adjoint_mode_transform(_squeeze_generator(ops, SqueezeParam(r, phi)), ops)
+    assert len(calls) == 3
+    for action, block, flow in calls:
+        want = expm(action) @ block
+        assert np.abs(flow - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_expm_multiply_of_a_zero_matrix_is_the_identity():
+    block = np.arange(12.0).reshape(4, 3) + 1j
+    for zero in (np.zeros((4, 4)), csr_array((4, 4), dtype=np.complex128)):
+        assert np.array_equal(fock.expm_multiply(zero, block), block)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_expm_multiply_refuses_a_nonfinite_matrix(bad):
+    dense = np.eye(3, dtype=np.complex128)
+    dense[0, 2] = bad
+    for matrix in (dense, csr_array(dense)):
+        with pytest.raises(NonFinite):
+            fock.expm_multiply(matrix, np.ones(3))
+
+
+# ---------------------------------------------------------------------------
 # deformed vacuum
 
 
@@ -405,25 +464,16 @@ def test_coherent_state_is_joint_eigenvector():
 
 
 def test_squeezed_state_is_eigenvector_of_conjugated_mode():
-    """S a S+ applied to S D |vac> keeps the displaced eigenvalue; apply
-    S+ first, then a, then S, so no full matrix exponential is needed."""
-    from scipy.sparse import csr_array
-    from scipy.sparse.linalg import expm_multiply
-    from ncsq.fock import _squeeze_generator
-
+    """S m S+ applied to S D |vac> keeps the displaced eigenvalue, for
+    m = a_def and b_def; the round trip applies S+, then m, then S, so no
+    full matrix exponential is needed."""
     space = make_space(30)
-    params = P05
-    ops = build_operator_set(params, space)
+    ops = build_operator_set(P05, space)
     amps = ModeAmplitudes(0.4, 0.2j)
     z = SqueezeParam(0.25, 0.9)
-    state = make_state(params, space, amps, z, ops=ops)
-
-    gen = csr_array(_squeeze_generator(ops, z).matrix)
-    unsqueezed = expm_multiply(-gen, state.vector)
-    lowered = ops.a_def.matrix @ unsqueezed
-    lam_a = amps.alpha + 1j * params.theta * amps.beta
-    resid = np.linalg.norm(expm_multiply(gen, lowered) - lam_a * state.vector)
-    assert resid < 1e-8
+    state = make_state(P05, space, amps, z, ops=ops)
+    lam_a, lam_b = coherent_eigenvalues(P05, amps)
+    assert squeezed_eigen_residual(ops, z, state.vector, lam_a, lam_b) < 1e-8
 
 
 def test_make_state_population_guard():
