@@ -28,13 +28,14 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .params import NcParams, NonFinite
+from .params import NcParams, NonFinite, NonPositiveParameter
 
 __all__ = [
     "BogoliubovCoeffs",
     "BoundCheck",
     "ModeAmplitudes",
     "ModeTransform",
+    "NegativeSqueeze",
     "OscillatorCheck",
     "OscillatorParams",
     "SqueezeParam",
@@ -50,10 +51,14 @@ __all__ = [
 SATURATION_CHECK_RTOL = 1e-10
 
 
+class NegativeSqueeze(ValueError):
+    """A squeeze magnitude r below zero."""
+
+
 def _require_finite_complex(name: str, value: complex) -> complex:
     value = complex(value)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise NonFinite(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -80,9 +85,9 @@ class SqueezeParam:
         r = float(self.r)
         phi = float(self.phi)
         if not math.isfinite(r) or not math.isfinite(phi):
-            raise ValueError(f"squeeze parameter must be finite, got r={r!r} phi={phi!r}")
+            raise NonFinite(f"squeeze parameter must be finite, got r={r!r} phi={phi!r}")
         if r < 0.0:
-            raise ValueError(f"squeeze magnitude must be >= 0, got {r!r}")
+            raise NegativeSqueeze(f"squeeze magnitude must be >= 0, got {r!r}")
         phi = math.remainder(phi, 2.0 * math.pi)
         if phi <= -math.pi:
             phi += 2.0 * math.pi
@@ -191,8 +196,10 @@ class OscillatorParams:
     def __post_init__(self) -> None:
         for name, value in (("mass", self.mass), ("omega", self.omega)):
             value = float(value)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            if not math.isfinite(value):
+                raise NonFinite(f"{name} must be finite, got {value!r}")
+            if value <= 0.0:
+                raise NonPositiveParameter(f"{name} must be positive, got {value!r}")
         object.__setattr__(self, "mass", float(self.mass))
         object.__setattr__(self, "omega", float(self.omega))
 

@@ -8,7 +8,9 @@ are written as CSV instead, with floats at 17 significant digits so the
 values round-trip identically to the JSON ones.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on bad
-arguments or values the engine refuses to work with.
+arguments or values the engine refuses to work with (the package's own
+exception types), 3 on any other exception, which is a defect of the
+program: it is reported as one JSON line on stderr, with its traceback.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ import io
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__, analytic, fock, verifier
-from .analytic import ModeAmplitudes, SqueezeParam
+from .analytic import ModeAmplitudes, NegativeSqueeze, SqueezeParam
 from .params import ConstraintClass, NcParams, NonFinite, NonPositiveParameter, make_params
 
 MAX_GRID_POINTS = 10_000_000
@@ -619,16 +622,22 @@ def _emit(report: RunReport, out: Optional[str], force_json: bool) -> None:
     text = _to_csv(report) if as_csv else _to_json(report)
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise _UsageError("cannot write %s: %s" % (out, exc.strerror or exc)) from None
 
 
+# The package's own refusals of what the user asked for: exit 2.  Any other
+# exception, a plain ValueError included, is a defect and exits 3.
 _USER_ERRORS = (
     _UsageError,
     GridTooLarge,
     NonPositiveParameter,
     NonFinite,
+    NegativeSqueeze,
     fock.BufferOutOfRange,
     fock.CutoffOutOfRange,
     fock.SqueezeTooLargeForCutoff,
@@ -637,7 +646,6 @@ _USER_ERRORS = (
     verifier.ThetaAtOrAboveOne,
     verifier.SamplesTooFew,
     verifier.SamplesTooMany,
-    ValueError,
 )
 
 
@@ -662,6 +670,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except _USER_ERRORS as exc:
         print("ncsq: error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(json.dumps({"error": "internal", "type": type(exc).__name__,
+                          "message": str(exc), "traceback": traceback.format_exc()}),
+              file=sys.stderr)
+        return 3
     return 1 if failed else 0
 
 

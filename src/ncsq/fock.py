@@ -5,20 +5,22 @@ The Hilbert space is spanned by |n_a, n_b> with both occupations capped at
 operators (x, y, px, py), the deformed pair (a_def, b_def), the ordinary
 pair and the displacement generator are exact linear combinations of the
 ordinary a, a+, b, b+, with coefficient 4-vectors from inverting the 4x4
-map that defines the ordinary modes in terms of the plane operators.  Each
-space caches one CSR pattern, the union of the four ladder patterns, which
-are disjoint; every such operator is built on it from its coefficient
-4-vector, one coefficient times one ladder weight per stored entry, with
-no sparse sums or transposes.  Generators are at most quadratic in the
-ladder, so states are built by exponential-times-vector products:
+map that defines the ordinary modes in terms of the plane operators.
+Every operator is stored banded (OperatorMatrix): a tuple of diagonal
+offsets and one row of entries per offset.  The ladders sit at offsets
++-1 and +-(cutoff+1); each space caches their weights once, and every
+linear operator is one coefficient times one ladder weight per entry.
+Generators are at most quadratic in the ladder, so their products and
+commutators stay a handful of bands, and every operation (product,
+adjoint, sum, matrix-vector product, 1-norm) is a few numpy slices per
+band.  States are built by exponential-times-vector products:
 expm_multiply, a truncated Taylor series whose degree and step count come
 from the generator's exact 1-norm; a squeezed state is its coherent state
-squeezed, so callers that need both build the coherent state once.  Every
-operator is CSR; the one dense dim x dim matrix is the unitary of
-displacement_op, about 45 MB at cutoff 40, which the tests and the
-benchmark's displacement probe still conjugate.  It is also the only
-function that loads scipy.linalg, inside its body; the module needs only
-scipy.sparse.
+squeezed, so callers that need both build the coherent state once.  The
+module imports numpy only.  The one dense dim x dim matrix is the unitary
+of displacement_op, about 45 MB at cutoff 40, which the tests and the
+benchmark's displacement probe still conjugate; it is the package's only
+user of scipy, whose scipy.linalg it imports inside its body.
 
 Truncation is the only approximation.  Operator identities hold exactly on
 the subspace of total occupation <= cutoff - buffer; states are guarded by a
@@ -32,10 +34,9 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.sparse import csr_array, eye_array, issparse
 
 from .analytic import ModeAmplitudes, SqueezeParam
 from .params import ConstraintClass, NcParams, NonFinite
@@ -120,29 +121,20 @@ class FockSpace:
         return hash(("FockSpace", self.cutoff))
 
     @functools.cached_property
-    def _ladder_pattern(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """CSR (indptr, indices) of the union of a, a+, b, b+, with the ladder
-        weight sqrt(n) of each stored entry and which of the four (0 to 3,
-        in that order) it belongs to.
-
-        The four patterns are disjoint, so the operator with coefficient
-        4-vector c stores exactly c[which] * weight at each entry.  Within
-        a row the columns run i - side (a+), i - 1 (b+), i + 1 (b) and
-        i + side (a), which keeps the indices sorted.
-        """
+    def _ladder_bands(self) -> Tuple[Tuple[int, ...], np.ndarray]:
+        """Offsets (-side, -1, 1, side) and the (4, dim) ladder weights of
+        a+, b+, b and a on them, in that order: sqrt(n_a), sqrt(n_b),
+        sqrt(n_b + 1) and sqrt(n_a + 1), zero where the ladder leaves the
+        space or would wrap across a row of n_b."""
         side = self.cutoff + 1
         n_a, n_b = self.n_a, self.n_b
-        offsets = np.array([-side, -1, 1, side])
-        ladders = np.array([1, 3, 2, 0])
-        weights = np.sqrt(np.stack([n_a, n_b, n_b + 1, n_a + 1]).astype(float))
-        present = np.stack([n_a > 0, n_b > 0, n_b < self.cutoff, n_a < self.cutoff]).T
-        indices = (np.arange(self.dim)[:, None] + offsets)[present].astype(np.int32)
-        indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))]).astype(np.int32)
-        which = np.broadcast_to(ladders, present.shape)[present]
-        pattern = (indptr, indices, weights.T[present], which)
-        for arr in pattern:
-            arr.setflags(write=False)
-        return pattern
+        weights = np.sqrt(np.stack([
+            n_a, n_b,
+            np.where(n_b < self.cutoff, n_b + 1, 0),
+            np.where(n_a < self.cutoff, n_a + 1, 0),
+        ]).astype(float))
+        weights.setflags(write=False)
+        return (-side, -1, 1, side), weights
 
     def index_of(self, n_a: int, n_b: int) -> int:
         if not (0 <= n_a <= self.cutoff and 0 <= n_b <= self.cutoff):
@@ -177,31 +169,94 @@ def _check_same_space(left: FockSpace, right: FockSpace) -> None:
         )
 
 
+def _slices(offset: int, dim: int) -> Tuple[slice, slice]:
+    """Rows i, and their columns i + offset, of the entries a band at this
+    offset holds inside a dim x dim matrix (|offset| < dim)."""
+    if offset >= 0:
+        return slice(0, dim - offset), slice(offset, dim)
+    return slice(-offset, dim), slice(0, dim + offset)
+
+
+def _merged(space: FockSpace, terms) -> "OperatorMatrix":
+    """The operator whose bands are the sums of the (offset, band) terms that
+    share an offset, with offsets in ascending order."""
+    sums: dict = {}
+    for offset, band in terms:
+        sums[offset] = sums[offset] + band if offset in sums else band
+    offsets = tuple(sorted(sums))
+    bands = np.array([sums[o] for o in offsets], dtype=np.complex128)
+    return OperatorMatrix(space, offsets, bands.reshape(len(offsets), space.dim))
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Complex matrix tagged with the space it acts on.
+    """Complex matrix tagged with the space it acts on, in banded form.
 
-    Every engine operator is CSR.  The one dense matrix is the unitary of
-    displacement_op, which stays until the benchmark's displacement probe
-    becomes a commutator residual (ROADMAP item 1); the arithmetic works
-    on both, and mixtures come out dense.
+    Every engine operator is linear or quadratic in the ladders, so it is a
+    few diagonals at fixed offsets (+-1, +-(cutoff+1) and their pairwise
+    sums).  It is stored as the standard diagonal (DIA) format: ``offsets``
+    is a tuple of distinct offsets in ascending order, and row k of the
+    (len(offsets), dim) array ``bands`` holds ``M[i, i + offsets[k]]`` at
+    index i, zero where that column falls outside the space or the entry
+    wraps across a row of n_b.  Products, adjoints and sums work band by
+    band with numpy slices.  ``matrix`` is a dense dim x dim view built on
+    each access, for tests and the benchmark's displacement probe only.
     """
 
     space: FockSpace
-    matrix: Union[csr_array, np.ndarray]
+    offsets: Tuple[int, ...]
+    bands: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """A new dense dim x dim array of the operator (dim**2 complex
+        entries: about 45 MB at cutoff 40), for tests and the benchmark's
+        displacement probe only; no engine path reads it."""
+        index = np.arange(self.space.dim)
+        dense = np.zeros((self.space.dim, self.space.dim), dtype=np.complex128)
+        for rows, cols, entries in self._diagonals:
+            dense[index[rows], index[cols]] = entries
+        return dense
+
+    @functools.cached_property
+    def _diagonals(self) -> list:
+        """(rows, cols, entries) per band: the rows it fills, their columns
+        and its entries on those rows, sliced once per operator."""
+        diagonals = []
+        for offset, band in zip(self.offsets, self.bands):
+            rows, cols = _slices(offset, self.space.dim)
+            diagonals.append((rows, cols, band[rows]))
+        return diagonals
+
+    def band(self, offset: int) -> np.ndarray:
+        """The band at this offset, zeros if none is stored."""
+        if offset in self.offsets:
+            return self.bands[self.offsets.index(offset)]
+        return np.zeros(self.space.dim, dtype=np.complex128)
+
+    def onenorm(self) -> float:
+        """The exact 1-norm: the largest absolute column sum."""
+        sums = np.zeros(self.space.dim)
+        for _, cols, entries in self._diagonals:
+            sums[cols] += np.abs(entries)
+        return float(sums.max())
 
     def dag(self) -> "OperatorMatrix":
-        adjoint = self.matrix.conj().T
+        """Adjoint: the band at offset o becomes the conjugated band at -o,
+        shifted by o, since M+[j, j - o] = conj(M[j - o, j])."""
+        bands = np.zeros_like(self.bands)
+        for k, (_, cols, entries) in enumerate(self._diagonals):
+            bands[k, cols] = np.conjugate(entries)
         return OperatorMatrix(
-            self.space, adjoint.tocsr() if issparse(adjoint) else adjoint.copy()
+            self.space, tuple(-o for o in reversed(self.offsets)), bands[::-1].copy()
         )
 
     @functools.cached_property
     def _hermiticity(self) -> Tuple[float, float]:
         """(max |M - M+|, max(1, max |M|)), computed once: no operator's
-        matrix is changed after it is built."""
-        return (float(abs(self.matrix - self.dag().matrix).max()),
-                max(1.0, float(abs(self.matrix).max())))
+        bands are changed after it is built."""
+        defect = np.abs((self - self.dag()).bands).max(initial=0.0)
+        return float(defect), max(1.0, float(np.abs(self.bands).max(initial=0.0)))
 
     def hermiticity_defect(self) -> float:
         return self._hermiticity[0]
@@ -210,36 +265,82 @@ class OperatorMatrix:
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
         _check_same_space(self.space, other.space)
-        return OperatorMatrix(self.space, self.matrix + other.matrix)
+        return _merged(self.space, [*zip(self.offsets, self.bands),
+                                    *zip(other.offsets, other.bands)])
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
-        _check_same_space(self.space, other.space)
-        return OperatorMatrix(self.space, self.matrix - other.matrix)
+        return self + (-other)
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, -self.matrix)
+        return OperatorMatrix(self.space, self.offsets, -self.bands)
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
         if not isinstance(scalar, numbers.Complex):
             return NotImplemented
-        return OperatorMatrix(self.space, self.matrix * complex(scalar))
+        return OperatorMatrix(self.space, self.offsets, self.bands * complex(scalar))
 
     __rmul__ = __mul__
+
+    def _product(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        """Band by band: (AB)[i, i + p + q] gets A[i, i + p] B[i + p, i + p + q]."""
+        dim = self.space.dim
+        sums: dict = {}
+        for p, (rows, cols, left) in zip(self.offsets, self._diagonals):
+            for q, right in zip(other.offsets, other.bands):
+                if abs(p + q) >= dim:
+                    continue
+                acc = sums.get(p + q)
+                if acc is None:
+                    acc = sums[p + q] = np.zeros(dim, dtype=np.complex128)
+                acc[rows] += left * right[cols]
+        return _merged(self.space, sums.items())
+
+    def _apply(self, block: np.ndarray) -> np.ndarray:
+        """M @ block for a vector or a (dim, m) block of columns."""
+        out = np.zeros(block.shape, dtype=np.result_type(self.bands, block))
+        for rows, cols, entries in self._diagonals:
+            out[rows] += (entries if block.ndim == 1 else entries[:, None]) * block[cols]
+        return out
 
     def __matmul__(self, other):
         if isinstance(other, OperatorMatrix):
             _check_same_space(self.space, other.space)
-            return OperatorMatrix(self.space, self.matrix @ other.matrix)
+            return self._product(other)
         if isinstance(other, StateVector):
             _check_same_space(self.space, other.space)
-            return StateVector(self.space, self.matrix @ other.vector)
+            return StateVector(self.space, self._apply(other.vector))
+        if isinstance(other, np.ndarray):
+            return self._apply(other)
         return NotImplemented
+
+
+def _identity(space: FockSpace) -> OperatorMatrix:
+    return OperatorMatrix(space, (0,), np.ones((1, space.dim), dtype=np.complex128))
 
 
 def commutator(left: OperatorMatrix, right: OperatorMatrix) -> OperatorMatrix:
     return left @ right - right @ left
+
+
+def _block_entries(ops: Sequence[OperatorMatrix], safe: np.ndarray) -> np.ndarray:
+    """Entries of each operator on the block of safe rows and columns, one
+    column each.
+
+    Rows run over the union of the nonzero patterns of all the blocks, band
+    by band; every entry outside it is zero in every operator, so a fit or
+    residual over these rows equals one over the whole block.  On the 1x1
+    block of buffer = cutoff every operator is zero and no row is left.
+    """
+    dim = safe.size
+    chunks = [np.zeros((len(ops), 0), dtype=np.complex128)]
+    for offset in sorted(set().union(*(op.offsets for op in ops))):
+        rows, cols = _slices(offset, dim)
+        inside = safe[rows] & safe[cols]
+        entries = np.array([op.band(offset)[rows][inside] for op in ops])
+        chunks.append(entries[:, (entries != 0.0).any(axis=0)])
+    return np.concatenate(chunks, axis=1).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,14 +375,22 @@ def basis_state(space: FockSpace, n_a: int, n_b: int) -> StateVector:
     return StateVector(space, vec)
 
 
-def _from_coefficients(space: FockSpace, coeffs: np.ndarray) -> csr_array:
-    """sum_k coeffs[k] L_k over (a, a+, b, b+), stored on the space's ladder
-    pattern; entries of a zero coefficient are dropped, as a CSR sum would."""
-    indptr, indices, weights, which = space._ladder_pattern
-    data = np.asarray(coeffs, dtype=np.complex128)[which] * weights
-    matrix = csr_array((data, indices.copy(), indptr.copy()), shape=(space.dim, space.dim))
-    matrix.eliminate_zeros()
-    return matrix
+# the ladder of each band of FockSpace._ladder_bands, as an index into
+# a coefficient 4-vector over (a, a+, b, b+)
+_BAND_LADDER = [1, 3, 2, 0]
+
+
+def _from_coefficients(space: FockSpace, coeffs: np.ndarray) -> OperatorMatrix:
+    """sum_k coeffs[k] L_k over (a, a+, b, b+), one coefficient times one
+    ladder weight per entry; the band of a zero coefficient is dropped."""
+    offsets, weights = space._ladder_bands
+    coeffs = np.asarray(coeffs, dtype=np.complex128)[_BAND_LADDER]
+    keep = coeffs != 0.0
+    return OperatorMatrix(
+        space,
+        tuple(o for o, k in zip(offsets, keep) if k),
+        coeffs[keep, None] * weights[keep],
+    )
 
 
 def _adjoint(coeffs: np.ndarray) -> np.ndarray:
@@ -374,8 +483,7 @@ class OperatorSet:
 def build_operator_set(params: NcParams, space: FockSpace) -> OperatorSet:
     coeffs = _ladder_coefficients(params)
     x, y, px, py, a_def, b_def, a_ord, b_ord = (
-        OperatorMatrix(space, _from_coefficients(space, row))
-        for row in (*coeffs, _UNIT[0], _UNIT[2])
+        _from_coefficients(space, row) for row in (*coeffs, _UNIT[0], _UNIT[2])
     )
     return OperatorSet(
         space=space, params=params, a_ord=a_ord, b_ord=b_ord,
@@ -390,7 +498,7 @@ def _displacement_generator(ops: OperatorSet, amps: ModeAmplitudes) -> OperatorM
     a_row, b_row = ops.coeffs[4:]
     row = (alpha * _adjoint(a_row) + beta * _adjoint(b_row)
            - np.conjugate(alpha) * a_row - np.conjugate(beta) * b_row)
-    return OperatorMatrix(ops.space, _from_coefficients(ops.space, row))
+    return _from_coefficients(ops.space, row)
 
 
 def _squeeze_generator(ops: OperatorSet, z: SqueezeParam) -> OperatorMatrix:
@@ -406,14 +514,25 @@ def _refuse_large_squeeze(z: Optional[SqueezeParam], max_r: float) -> None:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class _DenseUnitary:
+    """displacement_op's unitary as a dense dim x dim array."""
+
+    matrix: np.ndarray
+
+    def dag(self) -> "_DenseUnitary":
+        return _DenseUnitary(self.matrix.conj().T.copy())
+
+
 def displacement_op(
     params: NcParams, space: FockSpace, amps: ModeAmplitudes,
     ops: Optional[OperatorSet] = None,
-) -> OperatorMatrix:
+) -> _DenseUnitary:
     """Dense unitary displacement of the deformed pair by (alpha, beta).
 
-    The only dense dim x dim array of the engine, and the only caller of
-    scipy.linalg, which it imports here so that no other path loads it.
+    The only dense dim x dim array of the engine, and the package's only
+    user of scipy, whose scipy.linalg.expm it imports here so that no
+    other path loads scipy.
     No state or check uses it (make_state applies the generator with
     expm_multiply); the tests and the benchmark's displacement probe
     conjugate it, so it stays until that probe becomes a commutator
@@ -424,13 +543,13 @@ def displacement_op(
 
     if ops is None:
         ops = build_operator_set(params, space)
-    gen = _displacement_generator(ops, amps).matrix.toarray()
+    gen = _displacement_generator(ops, amps).matrix
     if not np.isfinite(gen).all():
         raise NonFinite("displacement generator has non-finite entries")
     unitary = expm(gen)
     if not np.isfinite(unitary).all():
         raise NonFinite("displacement unitary has non-finite entries")
-    return OperatorMatrix(ops.space, unitary)
+    return _DenseUnitary(unitary)
 
 
 def deformed_vacuum(
@@ -500,9 +619,9 @@ _TAYLOR_THETA = {
 }
 
 
-def expm_multiply(matrix: Union[csr_array, np.ndarray], block: np.ndarray) -> np.ndarray:
-    """exp(matrix) @ block for a square CSR or dense matrix and a vector or
-    block of columns.
+def expm_multiply(matrix: Union[OperatorMatrix, np.ndarray], block: np.ndarray) -> np.ndarray:
+    """exp(matrix) @ block for a banded operator or a square dense array
+    and a vector or block of columns.
 
     The truncated Taylor algorithm of Al-Mohy and Higham (2011), algorithm
     3.2: the matrix is shifted by its mean diagonal mu, the exponential of
@@ -513,12 +632,16 @@ def expm_multiply(matrix: Union[csr_array, np.ndarray], block: np.ndarray) -> np
     (its largest absolute column sum), so no norm estimate is needed.
     Raises NonFinite on a non-finite matrix.
     """
-    dim = matrix.shape[0]
-    mu = matrix.diagonal().sum() / dim
-    if mu != 0.0:
-        eye = eye_array(dim, format="csr") if issparse(matrix) else np.eye(dim)
-        matrix = matrix - mu * eye
-    norm = float(abs(matrix).sum(axis=0).max())
+    if isinstance(matrix, OperatorMatrix):
+        mu = matrix.band(0).sum() / matrix.space.dim
+        if mu != 0.0:
+            matrix = matrix - mu * _identity(matrix.space)
+        norm = matrix.onenorm()
+    else:
+        mu = matrix.diagonal().sum() / matrix.shape[0]
+        if mu != 0.0:
+            matrix = matrix - mu * np.eye(matrix.shape[0])
+        norm = float(abs(matrix).sum(axis=0).max())
     if not math.isfinite(norm):
         raise NonFinite("matrix of the exponential has non-finite entries")
     if norm == 0.0:
@@ -571,7 +694,7 @@ def make_state(
         ops = build_operator_set(params, space)
     vec = ops.ground.vector
     if amps is not None and (amps.alpha != 0.0 or amps.beta != 0.0):
-        vec = expm_multiply(_displacement_generator(ops, amps).matrix, vec)
+        vec = expm_multiply(_displacement_generator(ops, amps), vec)
     return _squeeze_and_guard(ops, vec, z, buffer, tail_tol)
 
 
@@ -588,7 +711,7 @@ def _squeeze_and_guard(
     a displaced state squeeze it here rather than rebuild it; they refuse
     r beyond max_r first, as make_state does."""
     if z is not None and z.r > 0.0:
-        vec = expm_multiply(_squeeze_generator(ops, z).matrix, vec)
+        vec = expm_multiply(_squeeze_generator(ops, z), vec)
     out = StateVector(ops.space, vec).normalized()
     leak = safe_norm_fraction(out, buffer=buffer)
     if leak > tail_tol:
@@ -628,7 +751,7 @@ def check_buffer(space: FockSpace, buffer: int) -> None:
 def expectation(state: StateVector, op: OperatorMatrix) -> complex:
     """<state|op|state> for any operator, Hermitian or not."""
     _check_same_space(state.space, op.space)
-    return complex(np.vdot(state.vector, op.matrix @ state.vector))
+    return complex(np.vdot(state.vector, op @ state.vector))
 
 
 def expectation_and_variance(
@@ -646,7 +769,7 @@ def expectation_and_variance(
         raise NonHermitianOperator(
             f"hermiticity defect {defect:.3e} exceeds tolerance for variance"
         )
-    applied = op.matrix @ state.vector
+    applied = op @ state.vector
     mean = complex(np.vdot(state.vector, applied))
     second = float(np.real(np.vdot(applied, applied)))
     var = second - (mean.real * mean.real + mean.imag * mean.imag)

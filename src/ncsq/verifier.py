@@ -28,8 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from scipy.sparse import csr_array, eye_array
-
 from . import analytic
 from .analytic import ModeAmplitudes, SqueezeParam
 from .fock import (
@@ -38,7 +36,9 @@ from .fock import (
     FockSpace,
     OperatorMatrix,
     OperatorSet,
+    _block_entries,
     _displacement_generator,
+    _identity,
     _refuse_large_squeeze,
     _squeeze_and_guard,
     _squeeze_generator,
@@ -168,31 +168,16 @@ def _params_meta(params: NcParams, space: FockSpace, buffer: int) -> Dict[str, o
     }
 
 
-def _safe_indices(space: FockSpace, buffer: int) -> np.ndarray:
-    """Indices with total occupation <= cutoff - buffer; never empty,
-    because check_buffer refuses a buffer outside [0, cutoff]."""
+def _safe_mask(space: FockSpace, buffer: int) -> np.ndarray:
+    """Whether each index has total occupation <= cutoff - buffer; never
+    all false, because check_buffer refuses a buffer outside [0, cutoff]."""
     check_buffer(space, buffer)
-    return np.flatnonzero(space.n_tot <= space.cutoff - buffer)
+    return space.n_tot <= space.cutoff - buffer
 
 
-def _safe_block_max(space: FockSpace, matrix, buffer: int) -> float:
+def _safe_block_max(space: FockSpace, op: OperatorMatrix, buffer: int) -> float:
     """Max magnitude over entries whose row and column are both safe."""
-    idx = _safe_indices(space, buffer)
-    return float(abs(matrix[idx][:, idx]).max())
-
-
-def _block_entries(matrices: Sequence, idx: np.ndarray) -> np.ndarray:
-    """Entries of each matrix on the (idx, idx) block, one column each.
-
-    Rows run over the union of the nonzero patterns of all the blocks;
-    every entry outside it is zero in every matrix, so a fit or residual
-    over these rows equals one over the whole block.
-    """
-    blocks = [csr_array(m[idx][:, idx]) for m in matrices]
-    rows, cols = sum(abs(block) for block in blocks).nonzero()
-    if rows.size == 0:  # every block is zero, as on the 1x1 block buffer = cutoff
-        return np.zeros((0, len(blocks)), dtype=np.complex128)
-    return np.column_stack([block[rows, cols] for block in blocks])
+    return float(np.abs(_block_entries([op], _safe_mask(space, buffer))).max(initial=0.0))
 
 
 _QUADRATURE_NAMES = ("dx2", "dy2", "dpx2", "dpy2", "dX2", "dP2")
@@ -209,10 +194,8 @@ def _commutator_residual(
     left: OperatorMatrix, right: OperatorMatrix, want: complex, buffer: int
 ) -> float:
     """Safe-block max of [left, right] - want*1."""
-    space = left.space
-    eye = eye_array(space.dim, dtype=np.complex128, format="csr")
-    comm = commutator(left, right).matrix - want * eye
-    return _safe_block_max(space, comm, buffer)
+    comm = commutator(left, right) - want * _identity(left.space)
+    return _safe_block_max(left.space, comm, buffer)
 
 
 def algebra_residuals(
@@ -242,10 +225,9 @@ def algebra_residuals(
     return {key: _commutator_residual(*rel, buffer) for key, rel in relations.items()}
 
 
-def _span(ops: OperatorSet) -> List:
-    """Matrices of (a_def, b_def, b_def+, a_def+), the ModeTransform order."""
-    return [ops.a_def.matrix, ops.b_def.matrix,
-            ops.b_def.dag().matrix, ops.a_def.dag().matrix]
+def _span(ops: OperatorSet) -> List[OperatorMatrix]:
+    """(a_def, b_def, b_def+, a_def+), the ModeTransform order."""
+    return [ops.a_def, ops.b_def, ops.b_def.dag(), ops.a_def.dag()]
 
 
 def adjoint_mode_transform(
@@ -266,9 +248,9 @@ def adjoint_mode_transform(
     over the union of the nonzero patterns of the span and the
     commutators on the safe block.
     """
-    idx = _safe_indices(ops.space, buffer)
     span = _span(ops)
-    table = _block_entries(span + [gen.matrix @ m - m @ gen.matrix for m in span], idx)
+    table = _block_entries(span + [commutator(gen, m) for m in span],
+                           _safe_mask(ops.space, buffer))
     design, comms = table[:, :4], table[:, 4:]
     action, *_ = np.linalg.lstsq(design, comms, rcond=None)
     closure = float(np.abs(design @ action - comms).max(initial=0.0))
@@ -368,8 +350,8 @@ def identity_suite(
     guard = min(DEFAULT_BUFFER, space.cutoff)
     coh = make_state(params, space, amps, ops=ops, buffer=guard)
     eig = max(
-        float(np.linalg.norm(ops.a_def.matrix @ coh.vector - lam_a * coh.vector)),
-        float(np.linalg.norm(ops.b_def.matrix @ coh.vector - lam_b * coh.vector)),
+        float(np.linalg.norm(ops.a_def @ coh.vector - lam_a * coh.vector)),
+        float(np.linalg.norm(ops.b_def @ coh.vector - lam_b * coh.vector)),
     )
     reports.append(
         _report(

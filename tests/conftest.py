@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import expm_multiply
 
 from ncsq import ModeTransform, make_space
@@ -15,6 +16,23 @@ def ulp_between(a: float, b: float) -> float:
     if a == b:
         return 0.0
     return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+def to_csr(op):
+    """A banded operator as a scipy CSR array, entry by entry from its
+    bands (row i, column i + offset), so scipy's arithmetic on it is an
+    independent reference for the engine's band arithmetic."""
+    dim = op.space.dim
+    rows, cols, data = [], [], []
+    for offset, band in zip(op.offsets, op.bands):
+        index = np.arange(max(0, -offset), min(dim, dim - offset))
+        rows.append(index)
+        cols.append(index + offset)
+        data.append(band[index])
+    if not data:
+        return csr_array((dim, dim), dtype=np.complex128)
+    return csr_array((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                     shape=(dim, dim), dtype=np.complex128)
 
 
 @pytest.fixture(scope="session")
@@ -40,10 +58,10 @@ def squeeze_conjugated_block(ops, z, op, idx):
     the block's rows are kept.  This is the dense conjugation's block, up
     to rounding, without a dense matrix exponential.
     """
-    gen = _squeeze_generator(ops, z).matrix
+    gen = to_csr(_squeeze_generator(ops, z))
     cols = np.zeros((ops.space.dim, idx.size), dtype=np.complex128)
     cols[idx, np.arange(idx.size)] = 1.0
-    cols = expm_multiply(gen, op.matrix @ expm_multiply(-gen, cols))
+    cols = expm_multiply(gen, to_csr(op) @ expm_multiply(-gen, cols))
     return cols[idx]
 
 
@@ -52,10 +70,10 @@ def squeezed_eigen_residual(ops, z, vec, lam_a, lam_b):
     S = exp(G) the squeeze applied as S+, then m, then S by expm_multiply:
     the eigenvalue relation of a squeezed state vec = S|coh>, checked
     through the round trip rather than on |coh> itself."""
-    gen = _squeeze_generator(ops, z).matrix
+    gen = to_csr(_squeeze_generator(ops, z))
     unsqueezed = expm_multiply(-gen, vec)
     return max(
-        float(np.linalg.norm(expm_multiply(gen, mode.matrix @ unsqueezed) - lam * vec))
+        float(np.linalg.norm(expm_multiply(gen, to_csr(mode) @ unsqueezed) - lam * vec))
         for mode, lam in ((ops.a_def, lam_a), (ops.b_def, lam_b))
     )
 
@@ -65,7 +83,7 @@ def fit_mode_block(ops, block, idx):
     (a_def, b_def, b_def+, a_def+), the ModeTransform order, with the
     max-norm fit residual: the direct conjugate-and-fit route."""
     span = (ops.a_def, ops.b_def, ops.b_def.dag(), ops.a_def.dag())
-    design = np.column_stack([m.matrix[idx][:, idx].toarray().ravel() for m in span])
+    design = np.column_stack([m.matrix[np.ix_(idx, idx)].ravel() for m in span])
     rhs = block.ravel()
     coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     resid = float(np.abs(design @ coef - rhs).max())

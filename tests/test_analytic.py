@@ -527,6 +527,30 @@ def test_commutative_limit_of_the_factors(r, phi):
         assert 4.0 * rep.dP2 == pytest.approx(c2r + cphi * s2r, rel=1e-14)
 
 
+_AMP = st.builds(ModeAmplitudes, st.complex_numbers(max_magnitude=2.0),
+                 st.complex_numbers(max_magnitude=2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=_THETA, bra=_AMP, ket=_AMP, r=st.floats(0.0, 3.0), phi=_PHI)
+def test_overlaps_of_unit_states_are_at_most_one(theta, bra, ket, r, phi):
+    # Cauchy-Schwarz; 1e-13 covers the rounding of exponents up to about 20
+    p = _params_at(theta, 1.0, 1.0)
+    assert abs(coherent_overlap(p, bra, ket)) <= 1.0 + 1e-13
+    assert abs(squeezed_overlap(p, bra, ket, SqueezeParam(r, phi))) <= 1.0 + 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=_THETA, bra=_AMP, ket=_AMP)
+def test_coherent_overlap_is_hermitian_and_unit_on_the_diagonal(theta, bra, ket):
+    p = _params_at(theta, 1.0, 1.0)
+    forward = coherent_overlap(p, bra, ket)
+    backward = coherent_overlap(p, ket, bra)
+    assert abs(forward - backward.conjugate()) <= 1e-13 * abs(forward)
+    for state in (bra, ket):
+        assert abs(coherent_overlap(p, state, state) - 1.0) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # oscillator consistency
 

@@ -465,38 +465,87 @@ def test_cli_never_raises_on_junk(junk):
     assert code in (0, 1, 2)
 
 
+def test_plain_value_error_in_a_handler_exits_three(capsys, monkeypatch):
+    """A ValueError that is not one of the package's refusals, such as a
+    numpy shape error, is a defect: exit 3 and one JSON line on stderr,
+    not the usage-error exit 2."""
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli.analytic, "single_mode_report", broken)
+    assert run(["variance", "--mu", "0.5", "--nu", "0.5"]) == 3
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "internal" and error["type"] == "ValueError"
+    assert "broadcast" in error["message"] and "broken" in error["traceback"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["variance", "--r", "-0.1"],
+    ["overlap", "--alpha", "nan"],
+    ["overcompleteness", "--beta2", "inf", "--samples", "1000"],
+    ["oscillator", "--m", "0", "--omega", "1"],
+    ["oscillator", "--m", "1", "--omega", "inf"],
+])
+def test_refused_values_exit_two(capsys, argv):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("ncsq: error:")
+
+
+def test_unwritable_out_exits_two(capsys, tmp_path):
+    assert run(["params", "--out", str(tmp_path / "missing" / "p.json")]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # import graph
 
 
-# Run in a fresh interpreter: a passing `ncsq check` (cutoff 12 refuses the
-# default state's tail) through cli.run, then the scipy linear-algebra
-# modules loaded so far, then displacement_op, whose dense expm is
-# imported inside it.
+# Run in a fresh interpreter: after `import ncsq.cli`, then after each
+# command through cli.run (`ncsq check` at cutoff 16, where cutoff 12
+# refuses the default state's tail), the scipy modules loaded so far; then
+# displacement_op, whose dense expm is imported inside it.
 _IMPORT_GRAPH_PROBE = """
 import contextlib, io, json, sys
 import numpy as np
 import ncsq.cli
 from ncsq import ModeAmplitudes, cli, fock, make_params
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.run(["check", "--mu", "0.5", "--nu", "0.5", "--cutoff", "16",
-                    "--r", "0.1", "--phi", "0.5", "--alpha", "0.2", "--beta", "0.1i"])
-loaded = sorted(m for m in sys.modules
-                if m.startswith(("scipy.linalg", "scipy.sparse.linalg")))
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+steps = {"import ncsq.cli": [0, scipy_loaded()]}
+commands = {
+    "check": ["check", "--mu", "0.5", "--nu", "0.5", "--cutoff", "16",
+              "--r", "0.1", "--phi", "0.5", "--alpha", "0.2", "--beta", "0.1i"],
+    "overcompleteness": ["overcompleteness", "--mu", "0.5", "--nu", "0.5",
+                         "--samples", "2000"],
+    "variance": ["variance", "--mu", "0.5", "--nu", "0.5", "--r", "0.3", "--phi", "1.5708"],
+    "sweep": ["sweep", "--variable", "theta", "--start", "0.05", "--stop", "0.95",
+              "--step", "0.05", "--r", "0.3", "--phi", "1.5708", "--quantity", "gain_px"],
+}
+for name, argv in commands.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    steps[name] = [code, scipy_loaded()]
 space = fock.make_space(12)
 disp = fock.displacement_op(make_params(0.5, 0.5, 1.0), space, ModeAmplitudes(0.4, 0.3j))
 defect = np.abs(disp.dag().matrix @ disp.matrix - np.eye(space.dim)).max()
-print(json.dumps({"code": code, "loaded": loaded, "defect": float(defect)}))
+print(json.dumps({"steps": steps, "defect": float(defect)}))
 """
 
 
 def test_check_loads_no_scipy_linear_algebra():
+    """No command loads any scipy module; only displacement_op does."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH_PROBE], env=env,
                           capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout)
-    assert result["code"] == 0
-    assert result["loaded"] == []
+    assert result["steps"] == {
+        "import ncsq.cli": [0, []], "check": [0, []], "overcompleteness": [0, []],
+        "variance": [0, []], "sweep": [0, []],
+    }
     assert result["defect"] < 1e-10

@@ -12,9 +12,9 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.sparse import csr_array, diags_array, eye_array, issparse, kron
+from scipy.sparse import csr_array, diags_array, eye_array, kron
 
-from conftest import squeezed_eigen_residual
+from conftest import squeezed_eigen_residual, to_csr
 
 from ncsq import (
     CutoffOutOfRange,
@@ -182,22 +182,30 @@ def _dense_reference_ops(params, space):
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.5, 0.9])
-def test_csr_operators_match_dense_solve(theta, space12):
+def test_banded_operators_match_dense_solve(theta, space12):
     params = make_params(theta, theta, 1.0)
     ops = build_operator_set(params, space12)
     for name, want in _dense_reference_ops(params, space12).items():
         got = getattr(ops, name).matrix
-        assert issparse(got), name
-        assert np.abs(got.toarray() - want).max() < 1e-13, name
-    # every engine operator is CSR; only displacement_op's unitary is dense
-    engine = {name: getattr(ops, name) for name in (
-        "x", "y", "px", "py", "a_def", "b_def", "a_ord", "b_ord",
-        "pair_annihilator", "pair_creator")}
-    engine["displacement generator"] = _displacement_generator(
-        ops, ModeAmplitudes(0.4, 0.3j))
-    engine["squeeze generator"] = _squeeze_generator(ops, SqueezeParam(0.3, 0.9))
+        assert np.abs(got - want).max() < 1e-13, name
+    # every engine operator is banded and equals its scipy reference built
+    # from the kron ladders; only displacement_op's unitary is dense
+    want = _kron_references(ops)
+    z = SqueezeParam(0.3, 0.9)
+    pair = want["a_def"] @ want["b_def"]
+    want["pair_annihilator"] = pair
+    want["pair_creator"] = pair.conj().T
+    want["squeeze generator"] = np.conjugate(z.z) * pair - z.z * pair.conj().T
+    amps = ModeAmplitudes(0.4, 0.3j)
+    want["displacement generator"] = _oracle_generator(want, amps)
+    engine = {name: getattr(ops, name) for name in want if hasattr(ops, name)}
+    engine["displacement generator"] = _displacement_generator(ops, amps)
+    engine["squeeze generator"] = _squeeze_generator(ops, z)
+    assert engine.keys() == want.keys()
     for name, op in engine.items():
-        assert issparse(op.matrix) and op.matrix.format == "csr", name
+        assert isinstance(op, OperatorMatrix) and op.bands.shape == (
+            len(op.offsets), space12.dim), name
+        assert abs(to_csr(op) - want[name]).max() <= 1e-13, name
 
 
 def _ladder(space):
@@ -211,11 +219,26 @@ def _ladder(space):
     return a, a.T.tocsr(), b, b.T.tocsr()
 
 
-def _oracle_generator(ops, amps):
-    """The displacement generator as a sum of scaled operators and adjoints."""
+_LINEAR = ("x", "y", "px", "py", "a_def", "b_def")
+
+
+def _kron_references(ops):
+    """scipy CSR references of the operator set's linear operators: each
+    coefficient row over the kron-built (a, a+, b, b+), and a_ord, b_ord."""
+    ladder = _ladder(ops.space)
+    refs = {name: sum(c * m for c, m in zip(row, ladder))
+            for name, row in zip(_LINEAR, ops.coeffs)}
+    refs["a_ord"], refs["b_ord"] = ladder[::2]
+    return refs
+
+
+def _oracle_generator(refs, amps):
+    """The displacement generator as a scipy sum of the scaled references
+    of a_def and b_def and their adjoints."""
     alpha, beta = amps.alpha, amps.beta
-    return (alpha * ops.a_def.dag() + beta * ops.b_def.dag()
-            - np.conjugate(alpha) * ops.a_def - np.conjugate(beta) * ops.b_def).matrix
+    a_def, b_def = refs["a_def"], refs["b_def"]
+    return (alpha * a_def.conj().T + beta * b_def.conj().T
+            - np.conjugate(alpha) * a_def - np.conjugate(beta) * b_def)
 
 
 @pytest.mark.parametrize("cutoff", [1, 12, 30])
@@ -224,17 +247,63 @@ def test_pattern_operators_equal_the_csr_sums(cutoff, theta):
     params = make_params(theta or 1e-200, theta or 1e-200, 1.0)
     space = make_space(cutoff)
     ops = build_operator_set(params, space)
-    ladder = _ladder(space)
-    names = ("x", "y", "px", "py", "a_def", "b_def")
-    for name, row in zip(names, ops.coeffs):
-        want = sum(c * m for c, m in zip(row, ladder))
-        assert abs(getattr(ops, name).matrix - want).max() <= 1e-15, name
-    for got, want in zip((ops.a_ord, ops.b_ord), ladder[::2]):
-        assert abs(got.matrix - want).max() == 0.0
+    refs = _kron_references(ops)
+    for name in _LINEAR:
+        assert abs(to_csr(getattr(ops, name)) - refs[name]).max() <= 1e-15, name
+    for name in ("a_ord", "b_ord"):
+        assert abs(to_csr(getattr(ops, name)) - refs[name]).max() == 0.0
     for amps in (ModeAmplitudes(0.4, 0.3j), ModeAmplitudes(-0.7j, 1.0 + 0.2j)):
-        want = _oracle_generator(ops, amps)
-        got = _displacement_generator(ops, amps).matrix
+        want = _oracle_generator(refs, amps)
+        got = to_csr(_displacement_generator(ops, amps))
         assert abs(got - want).max() <= 1e-15 * abs(want).max()
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 12, 30])
+def test_band_arithmetic_matches_scipy(cutoff):
+    """Products, adjoints, commutators, sums and matrix-vector products
+    against scipy on the kron-built references, and the safe-block entries
+    against the dense view.  At cutoffs 1 and 2 the
+    +-1 and +-(cutoff+1) offsets sit next to each other, products reach
+    offsets at or beyond the dimension, and every row edge wraps."""
+    space = make_space(cutoff)
+    ops = build_operator_set(make_params(0.7, 0.4, 1.0), space)
+    refs = _kron_references(ops)
+    engine = {name: getattr(ops, name) for name in refs}
+    # quadratic operators, whose products reach the summed offsets
+    engine["pair"] = ops.pair_annihilator
+    refs["pair"] = refs["a_def"] @ refs["b_def"]
+    engine["xpy"] = ops.x @ ops.py + 0.3j * ops.b_ord
+    refs["xpy"] = refs["x"] @ refs["py"] + 0.3j * refs["b_ord"]
+    rng = np.random.default_rng(cutoff)
+    block = rng.standard_normal((space.dim, 3)) + 1j * rng.standard_normal((space.dim, 3))
+
+    def close(got, want):
+        scale = max(1.0, abs(want).max())
+        return abs(to_csr(got) - want).max() <= 1e-14 * scale
+
+    for name, op in engine.items():
+        ref = refs[name]
+        assert close(op.dag(), ref.conj().T), name
+        assert close(2.5j * op - op.dag(), 2.5j * ref - ref.conj().T), name
+        assert np.abs(op @ block - ref @ block).max() <= 1e-14 * np.abs(ref @ block).max()
+        assert np.abs(op @ block[:, 0] - ref @ block[:, 0]).max() <= 1e-14 * max(
+            1.0, np.abs(ref @ block[:, 0]).max())
+        assert op.onenorm() == pytest.approx(abs(ref).sum(axis=0).max(), rel=1e-14)
+        assert op.band(0).sum() == pytest.approx(ref.diagonal().sum(), rel=1e-14, abs=1e-14)
+        for buffer in (0, 1):
+            safe = space.n_tot <= cutoff - buffer
+            dense = op.matrix[np.ix_(safe, safe)]
+            entries = fock._block_entries([op, op.dag()], safe)
+            union = (dense != 0) | (dense.conj().T != 0)
+            assert entries.shape == (np.count_nonzero(union), 2), name
+            assert np.array_equal(np.sort_complex(entries[:, 0][entries[:, 0] != 0]),
+                                  np.sort_complex(dense[dense != 0])), name
+    for left in ("x", "a_def", "b_ord", "pair"):
+        for right in ("py", "b_def", "a_ord", "pair", "xpy"):
+            l_op, r_op, l_ref, r_ref = engine[left], engine[right], refs[left], refs[right]
+            assert close(l_op @ r_op, l_ref @ r_ref), (left, right)
+            assert close(commutator(l_op, r_op), l_ref @ r_ref - r_ref @ l_ref), (left, right)
+            assert close(l_op.dag() @ r_op, l_ref.conj().T @ r_ref), (left, right)
 
 
 def test_phase_space_ops_hermitian(space20):
@@ -327,7 +396,7 @@ def test_displacement_op_rejects_nonfinite(space12):
 def _dense_squeeze(ops, z):
     """The squeeze unitary by a dense matrix exponential: a reference only,
     the engine squeezes states with expm_multiply."""
-    return OperatorMatrix(ops.space, expm(_squeeze_generator(ops, z).matrix.toarray()))
+    return expm(_squeeze_generator(ops, z).matrix)
 
 
 def test_squeeze_adjoint_is_negated_squeeze():
@@ -337,7 +406,7 @@ def test_squeeze_adjoint_is_negated_squeeze():
     neg = SqueezeParam(0.3, math.pi / 4 - math.pi)
     sq = _dense_squeeze(ops, z)
     sq_neg = _dense_squeeze(ops, neg)
-    assert np.abs(sq.dag().matrix - sq_neg.matrix).max() < 1e-11
+    assert np.abs(sq.conj().T - sq_neg).max() < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +424,8 @@ def test_expm_multiply_matches_scipy_on_the_generators(theta, cutoff):
     gens = [_displacement_generator(ops, ModeAmplitudes(1.5 * np.exp(0.3j), -2.0j)),
             _squeeze_generator(ops, SqueezeParam(0.7, 1.0))]
     for gen in gens:
-        got = fock.expm_multiply(gen.matrix, vec)
-        assert np.abs(got - reference(gen.matrix, vec)).max() < 1e-14
+        got = fock.expm_multiply(gen, vec)
+        assert np.abs(got - reference(to_csr(gen), vec)).max() < 1e-14
         vec = got
 
 
@@ -383,17 +452,19 @@ def test_expm_multiply_matches_dense_expm_on_the_adjoint_actions(theta, r, monke
 
 def test_expm_multiply_of_a_zero_matrix_is_the_identity():
     block = np.arange(12.0).reshape(4, 3) + 1j
-    for zero in (np.zeros((4, 4)), csr_array((4, 4), dtype=np.complex128)):
+    banded = 0.0 * build_operator_set(P05, make_space(1)).a_ord
+    for zero in (np.zeros((4, 4)), banded):
         assert np.array_equal(fock.expm_multiply(zero, block), block)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_expm_multiply_refuses_a_nonfinite_matrix(bad):
-    dense = np.eye(3, dtype=np.complex128)
+    dense = np.eye(4, dtype=np.complex128)
     dense[0, 2] = bad
-    for matrix in (dense, csr_array(dense)):
+    banded = OperatorMatrix(make_space(1), (2,), np.array([[bad, 0.0, 0.0, 0.0]]))
+    for matrix in (dense, banded):
         with pytest.raises(NonFinite):
-            fock.expm_multiply(matrix, np.ones(3))
+            fock.expm_multiply(matrix, np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +478,7 @@ def test_deformed_vacuum_is_the_joint_null_direction():
         params = make_params(theta, theta, 1.0)
         space = make_space(14)
         ops = build_operator_set(params, space)
-        stacked = np.vstack([ops.a_def.matrix.toarray(), ops.b_def.matrix.toarray()])
+        stacked = np.vstack([ops.a_def.matrix, ops.b_def.matrix])
         _, sv, vt = np.linalg.svd(stacked)
         assert sv[-1] < 1e-12
         assert sv[-2] > 0.1
@@ -538,7 +609,7 @@ def test_operator_algebra_helpers(space12):
     ops = build_operator_set(P05, space12)
     a, b = ops.a_ord, ops.b_ord
     doubled = 2.0 * a
-    assert np.array_equal(doubled.matrix.toarray(), (2.0 * a.matrix).toarray())
+    assert np.array_equal(doubled.matrix, 2.0 * a.matrix)
     diff = (a + b) - b
     assert np.abs(diff.matrix - a.matrix).max() == 0.0
     assert (-a).matrix[1, 0] == -a.matrix[1, 0]
