@@ -9,10 +9,10 @@ parameter z = r*exp(i*phi).
 
 Everything in this module is a scalar closed form: overlaps, eigenvalues of
 the annihilators on displaced states, the coefficients of the squeeze
-conjugation, quadrature variances, uncertainty products and their minima over
-the squeeze phase.  No truncated Hilbert space is involved; the matrix
-realisation lives in :mod:`ncsq.fock` and is checked against this module by
-:mod:`ncsq.verifier`.
+conjugation and of its generator's commutators, quadrature variances,
+uncertainty products and their minima over the squeeze phase.  No
+truncated Hilbert space is involved; the matrix realisation lives in
+:mod:`ncsq.fock` and is checked against this module by :mod:`ncsq.verifier`.
 
 Conventions: in an overlap <bra|ket> the primed/bra amplitudes enter
 conjugated; phases are canonicalised to (-pi, pi]; variances carry their
@@ -45,6 +45,7 @@ __all__ = [
     "coherent_overlap",
     "oscillator_consistency",
     "single_mode_report",
+    "squeeze_commutators",
     "squeezed_overlap",
 ]
 
@@ -101,7 +102,8 @@ class SqueezeParam:
 
 @dataclass(frozen=True)
 class ModeTransform:
-    """Coefficients of one conjugated annihilator on (a, b, b+, a+)."""
+    """Coefficients of one annihilator's image on (a, b, b+, a+): S m S+
+    under the squeeze S = exp(G), or the commutator [G, m]."""
 
     c_a: complex
     c_b: complex
@@ -111,7 +113,9 @@ class ModeTransform:
 
 @dataclass(frozen=True)
 class BogoliubovCoeffs:
-    """Both conjugated annihilators S a S+ and S b S+ as linear combinations."""
+    """The images of both annihilators as linear combinations: S a S+ and
+    S b S+ (bogoliubov_coefficients), or [G, a] and [G, b]
+    (squeeze_commutators)."""
 
     mode_a: ModeTransform
     mode_b: ModeTransform
@@ -375,6 +379,22 @@ def bogoliubov_coefficients(params: NcParams, z: SqueezeParam) -> BogoliubovCoef
         c_adag=phase * sh_r * ch_t,
     )
     return BogoliubovCoeffs(mode_a=mode_a, mode_b=mode_b)
+
+
+def squeeze_commutators(params: NcParams, z: SqueezeParam) -> BogoliubovCoeffs:
+    """Coefficients of [G, a] and [G, b] on (a, b, b+, a+), for the squeeze
+    generator G = conj(z) a b - z a+ b+ with S(z) = exp(G).
+
+    With [a, b+] = i*theta, [G, a] = z (b+ + i*theta a+) and
+    [G, b] = z (a+ - i*theta b+).  This is the generator of
+    bogoliubov_coefficients: their r-derivative at r = 0, times r.
+    """
+    zc = z.z
+    itz = 1j * params.theta * zc
+    return BogoliubovCoeffs(
+        mode_a=ModeTransform(c_a=0j, c_b=0j, c_bdag=zc, c_adag=itz),
+        mode_b=ModeTransform(c_a=0j, c_b=0j, c_bdag=-itz, c_adag=zc),
+    )
 
 
 def _factor_pair(a: float, b: float, t: float, s: float) -> Tuple[float, float, float]:

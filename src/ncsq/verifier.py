@@ -3,11 +3,12 @@
 Three families of evidence that the two sides describe the same physics:
 
 * identity checks: commutator residuals, the displacement shift property
-  (as its c-number commutator) and the squeeze conjugation coefficients,
-  measured directly on matrices over the safe subspace, where a single
-  commutator is exact and a conjugation is not; and the eigenvalue
-  relations of the coherent state, which cover the squeezed state too,
-  because the truncated squeeze is unitary;
+  (as its c-number commutator) and the deformed Bogoliubov transformation
+  (as the commutators of the squeeze generator with each annihilator,
+  against their closed forms), measured directly on matrices over the
+  safe subspace, where a single commutator is exact and a conjugation is
+  not; and the eigenvalue relations of the coherent state, which cover the
+  squeezed state too, because the truncated squeeze is unitary;
 * state crosschecks: overlaps and quadrature variances of concrete states,
   engine versus closed form;
 * Monte-Carlo overcompleteness: the weighted coherent-state integral of
@@ -23,7 +24,7 @@ probe's result does not depend on the other probes or their order.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,8 +37,9 @@ from .fock import (
     FockSpace,
     OperatorMatrix,
     OperatorSet,
-    _block_entries,
+    _adjoint,
     _displacement_generator,
+    _from_coefficients,
     _identity,
     _refuse_large_squeeze,
     _squeeze_and_guard,
@@ -46,7 +48,6 @@ from .fock import (
     check_buffer,
     commutator,
     expectation_and_variance,
-    expm_multiply as _expm_action,
     make_space,
     make_state,
 )
@@ -64,7 +65,6 @@ __all__ = [
     "SamplesTooMany",
     "SupercriticalWitness",
     "ThetaAtOrAboveOne",
-    "adjoint_mode_transform",
     "algebra_residuals",
     "convergence_probe",
     "crosscheck_suite",
@@ -177,7 +177,9 @@ def _safe_mask(space: FockSpace, buffer: int) -> np.ndarray:
 
 def _safe_block_max(space: FockSpace, op: OperatorMatrix, buffer: int) -> float:
     """Max magnitude over entries whose row and column are both safe."""
-    return float(np.abs(_block_entries([op], _safe_mask(space, buffer))).max(initial=0.0))
+    safe = _safe_mask(space, buffer)
+    return max((float(np.abs(entries[safe[rows] & safe[cols]]).max(initial=0.0))
+                for rows, cols, entries in op._diagonals), default=0.0)
 
 
 _QUADRATURE_NAMES = ("dx2", "dy2", "dpx2", "dpy2", "dX2", "dP2")
@@ -191,11 +193,10 @@ def _quadratures(ops: OperatorSet) -> Dict[str, OperatorMatrix]:
 
 
 def _commutator_residual(
-    left: OperatorMatrix, right: OperatorMatrix, want: complex, buffer: int
+    left: OperatorMatrix, right: OperatorMatrix, want: OperatorMatrix, buffer: int
 ) -> float:
-    """Safe-block max of [left, right] - want*1."""
-    comm = commutator(left, right) - want * _identity(left.space)
-    return _safe_block_max(left.space, comm, buffer)
+    """Safe-block max of [left, right] - want."""
+    return _safe_block_max(left.space, commutator(left, right) - want, buffer)
 
 
 def algebra_residuals(
@@ -222,48 +223,38 @@ def algebra_residuals(
         "ord_a_bdag": (ops.a_ord, ops.b_ord.dag(), 0.0),
         "XP": (quads["dX2"], quads["dP2"], 0.5j * p.hbar),
     }
-    return {key: _commutator_residual(*rel, buffer) for key, rel in relations.items()}
+    eye = _identity(ops.space)
+    return {key: _commutator_residual(left, right, lam * eye, buffer)
+            for key, (left, right, lam) in relations.items()}
 
 
-def _span(ops: OperatorSet) -> List[OperatorMatrix]:
-    """(a_def, b_def, b_def+, a_def+), the ModeTransform order."""
-    return [ops.a_def, ops.b_def, ops.b_def.dag(), ops.a_def.dag()]
+def _mode_image(ops: OperatorSet, image: analytic.ModeTransform) -> OperatorMatrix:
+    """image's combination of (a_def, b_def, b_def+, a_def+), built from the
+    coefficient rows of a_def and b_def."""
+    a_row, b_row = ops.coeffs[4:]
+    row = (image.c_a * a_row + image.c_b * b_row
+           + image.c_bdag * _adjoint(b_row) + image.c_adag * _adjoint(a_row))
+    return _from_coefficients(ops.space, row)
 
 
-def adjoint_mode_transform(
-    gen: OperatorMatrix, ops: OperatorSet, buffer: int = DEFAULT_BUFFER
-) -> Tuple[analytic.ModeTransform, analytic.ModeTransform, float]:
-    """Conjugation coefficients of both annihilators via the adjoint action.
-
-    The commutator of the squeeze generator with any of (a, b, b+, a+)
-    lands back in that span, so conjugation by exp(G) acts on the span
-    through a 4x4 matrix exponential, the engine's Taylor expm_multiply
-    applied to the 4x4 identity.  Commutators, unlike full
-    conjugations, are exact on the safe block at any squeeze strength,
-    which makes this route accurate where a direct fit of S a S+ drowns
-    in reflected truncation error.  Returns the transforms of the two
-    annihilators and the worst closure residual of the four commutator
-    fits; a large closure value would mean the span assumption itself
-    fails, so callers should fold it into their residual.  The fits run
-    over the union of the nonzero patterns of the span and the
-    commutators on the safe block.
-    """
-    span = _span(ops)
-    table = _block_entries(span + [commutator(gen, m) for m in span],
-                           _safe_mask(ops.space, buffer))
-    design, comms = table[:, :4], table[:, 4:]
-    action, *_ = np.linalg.lstsq(design, comms, rcond=None)
-    closure = float(np.abs(design @ action - comms).max(initial=0.0))
-    flow = _expm_action(action, np.eye(4))
-    ad_a, ad_b = (analytic.ModeTransform(*(complex(c) for c in flow[:, col]))
-                  for col in (0, 1))
-    return ad_a, ad_b, closure
-
-
-def _transform_distance(
-    fitted: analytic.ModeTransform, closed: analytic.ModeTransform
+def _squeeze_commutator_residual(
+    ops: OperatorSet, z: SqueezeParam, buffer: int = DEFAULT_BUFFER
 ) -> float:
-    return max(abs(f - c) for f, c in zip(astuple(fitted), astuple(closed)))
+    """Worst safe-block max of [G, m] - want_m over m in (a_def, b_def),
+    with G the squeeze generator and want_m from squeeze_commutators.
+
+    These commutators generate the Bogoliubov transformation, so they
+    check it at any squeeze strength, exactly on the safe block, where a
+    conjugation by exp(G) would carry reflected truncation error.  The
+    creators need no check of their own: the engine's G satisfies
+    G+ = -G exactly, so [G, m+] = ([G, m])+.
+    """
+    gen = _squeeze_generator(ops, z)
+    want = analytic.squeeze_commutators(ops.params, z)
+    return max(
+        _commutator_residual(gen, mode, _mode_image(ops, image), buffer)
+        for mode, image in ((ops.a_def, want.mode_a), (ops.b_def, want.mode_b))
+    )
 
 
 # identity class -> the algebra_residuals entries it reports
@@ -285,12 +276,15 @@ def identity_suite(
     """All operator-level identities, one report per identity class.
 
     Classes: the phase-plane commutators, the deformed and ordinary boson
-    algebras, the displacement shift property, the squeeze conjugation
-    coefficients, the eigenvalue relations of the coherent state, and the
-    collective-quadrature commutator.  The shift D+ m D = m + lambda_m
+    algebras, the displacement shift property, the deformed Bogoliubov
+    transformation, the eigenvalue relations of the coherent state, and
+    the collective-quadrature commutator.  The shift D+ m D = m + lambda_m
     holds exactly because [m, G] = lambda_m is a c-number for the
     displacement generator G, so it is checked as that commutator on the
-    safe block.  The squeezed state needs no eigenvalue relation of its
+    safe block.  The Bogoliubov transformation S m S+ is the flow of one
+    annihilator's image [G, m] under the squeeze generator G, so it is
+    checked as that commutator against squeeze_commutators, on the safe
+    block, for m = a_def and b_def.  The squeezed state needs no eigenvalue relation of its
     own: the truncated squeeze S is unitary, so the residual of S m S+ on
     S|coh> is the norm of S(m|coh> - lambda_m|coh>), the coherent one.
     Refuses a buffer outside [0, cutoff] with BufferOutOfRange, and a
@@ -314,11 +308,12 @@ def identity_suite(
 
     lam_a, lam_b = analytic.coherent_eigenvalues(params, amps)
     gen = _displacement_generator(ops, amps)
+    eye = _identity(space)
     reports.append(
         _report(
             "displacement_property",
-            max(_commutator_residual(ops.a_def, gen, lam_a, buffer),
-                _commutator_residual(ops.b_def, gen, lam_b, buffer)),
+            max(_commutator_residual(ops.a_def, gen, lam_a * eye, buffer),
+                _commutator_residual(ops.b_def, gen, lam_b * eye, buffer)),
             OPERATOR_TOL,
             alpha=str(amps.alpha),
             beta=str(amps.beta),
@@ -326,19 +321,11 @@ def identity_suite(
         )
     )
 
-    squeeze = _squeeze_generator(ops, z)
-    closed = analytic.bogoliubov_coefficients(params, z)
-    ad_a, ad_b, closure = adjoint_mode_transform(squeeze, ops, buffer)
     reports.append(
         _report(
             "bogoliubov",
-            max(
-                _transform_distance(ad_a, closed.mode_a),
-                _transform_distance(ad_b, closed.mode_b),
-                closure,
-            ),
+            _squeeze_commutator_residual(ops, z, buffer),
             OPERATOR_TOL,
-            closure_residual=closure,
             r=z.r,
             phi=z.phi,
             **meta,

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import expm_multiply
 
-from ncsq import ModeTransform, make_space
+from ncsq import ModeTransform, make_space, squeeze_commutators
 from ncsq.fock import _squeeze_generator
 
 
@@ -88,3 +89,23 @@ def fit_mode_block(ops, block, idx):
     coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     resid = float(np.abs(design @ coef - rhs).max())
     return ModeTransform(*(complex(c) for c in coef)), resid
+
+
+def _adjoint_image(image):
+    """The ModeTransform of the adjoint of image's operator: a <-> a+ and
+    b <-> b+, conjugated."""
+    return ModeTransform(*(complex(c).conjugate() for c in
+                           (image.c_adag, image.c_bdag, image.c_b, image.c_a)))
+
+
+def squeeze_flow(params, z):
+    """S a S+ and S b S+ by scipy's expm of the 4x4 adjoint action of the
+    squeeze generator G on (a, b, b+, a+): its columns are the
+    squeeze_commutators images [G, a] and [G, b], then [G, b+] and
+    [G, a+] built as their adjoints, since G+ = -G."""
+    comm = squeeze_commutators(params, z)
+    columns = (comm.mode_a, comm.mode_b, _adjoint_image(comm.mode_b),
+               _adjoint_image(comm.mode_a))
+    action = np.array([[t.c_a, t.c_b, t.c_bdag, t.c_adag] for t in columns]).T
+    flow = expm(action)
+    return tuple(ModeTransform(*(complex(c) for c in flow[:, col])) for col in (0, 1))

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import ulp_between
+from conftest import squeeze_flow, ulp_between
 from ncsq import (
     ModeAmplitudes,
     SqueezeParam,
@@ -243,6 +243,22 @@ def _dagged(tr):
     # adjoint swaps a <-> a+ and b <-> b+ with conjugated coefficients
     return (np.conj(tr.c_adag), np.conj(tr.c_bdag),
             np.conj(tr.c_b), np.conj(tr.c_a))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.9, 0.999])
+@pytest.mark.parametrize("r", [0.1, 1.0, 3.0])
+def test_squeeze_commutators_generate_the_bogoliubov_coefficients(theta, r):
+    """exp of the 4x4 adjoint action built from squeeze_commutators (the
+    creator columns as adjoints) is the closed-form conjugation."""
+    p = P00 if theta == 0.0 else make_params(theta, theta, 1.0)
+    assert p.theta == pytest.approx(theta, abs=1e-15)
+    for phi in (0.0, 0.7, -2.0, math.pi, math.pi / 2):
+        z = SqueezeParam(r, phi)
+        closed = bogoliubov_coefficients(p, z)
+        for got, want in zip(squeeze_flow(p, z), (closed.mode_a, closed.mode_b)):
+            scale = max(abs(c) for c in _as_tuple(want))
+            gap = max(abs(g - w) for g, w in zip(_as_tuple(got), _as_tuple(want)))
+            assert gap <= 1e-12 * scale, (phi, gap / scale)
 
 
 def test_bogoliubov_preserves_deformed_algebra():

@@ -1,6 +1,7 @@
 """Verification layer: identity suites, crosschecks, MC, convergence."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fit_mode_block, squeeze_conjugated_block, squeezed_eigen_residual
+from conftest import (
+    fit_mode_block,
+    squeeze_conjugated_block,
+    squeeze_flow,
+    squeezed_eigen_residual,
+)
 from ncsq import (
     BufferOutOfRange,
     ModeAmplitudes,
@@ -17,7 +23,6 @@ from ncsq import (
     SamplesTooMany,
     SqueezeParam,
     ThetaAtOrAboveOne,
-    adjoint_mode_transform,
     algebra_residuals,
     bogoliubov_coefficients,
     build_operator_set,
@@ -37,13 +42,14 @@ from ncsq.fock import (
     PopulationOverflow,
     SqueezeTooLargeForCutoff,
     _displacement_generator,
-    _squeeze_generator,
+    _identity,
 )
 from ncsq.verifier import (
     MC_MAX_SAMPLES,
     _MC_CHUNK,
     _commutator_residual,
     _safe_block_max,
+    _squeeze_commutator_residual,
 )
 
 P05 = make_params(0.5, 0.5, 1.0)
@@ -89,7 +95,8 @@ def test_fit_recovers_a_bare_operator(space20):
 
 def test_direct_fit_adjoint_and_closed_form_agree(space30):
     """Three routes to the same coefficients: conjugate-and-fit on a clean
-    block, the adjoint flow, and the closed forms."""
+    block, the flow of the closed-form commutators (which the engine's
+    commutators match on the safe block), and the closed forms."""
     z = SqueezeParam(0.2, 0.6)
     ops = build_operator_set(P05, space30)
     idx = np.flatnonzero(space30.n_tot <= 6)
@@ -100,30 +107,49 @@ def test_direct_fit_adjoint_and_closed_form_agree(space30):
     fitted, fit_resid = fit_mode_block(ops, conj_a, idx)
     assert fit_resid < 1e-8
 
-    ad_a, _, closure = adjoint_mode_transform(_squeeze_generator(ops, z), ops)
-    assert closure < 1e-10
+    assert _squeeze_commutator_residual(ops, z) < 1e-10
+    flow_a, _ = squeeze_flow(P05, z)
 
     closed = bogoliubov_coefficients(P05, z).mode_a
     for attr in ("c_a", "c_b", "c_bdag", "c_adag"):
         assert abs(getattr(fitted, attr) - getattr(closed, attr)) < 1e-8
-        assert abs(getattr(ad_a, attr) - getattr(closed, attr)) < 1e-8
+        assert abs(getattr(flow_a, attr) - getattr(closed, attr)) < 1e-8
 
 
 def test_adjoint_transform_textbook_limit(space20):
+    """Near theta = 0 the engine's [G, a] and [G, b] match the closed forms,
+    whose flow is the textbook two-mode squeeze."""
     params = make_params(1e-4, 1e-4, 1.0)
     ops = build_operator_set(params, space20)
     for r, phi in [(0.2, 0.0), (0.3, 1.1)]:
         z = SqueezeParam(r, phi)
-        ad_a, ad_b, closure = adjoint_mode_transform(
-            _squeeze_generator(ops, z), ops)
-        assert closure < 1e-10
+        assert _squeeze_commutator_residual(ops, z) < 1e-10
+        flow_a, flow_b = squeeze_flow(params, z)
         phase = cmath.exp(1j * phi)
-        assert abs(ad_a.c_a - math.cosh(r)) < 1e-6
-        assert abs(ad_a.c_bdag - phase * math.sinh(r)) < 1e-6
+        assert abs(flow_a.c_a - math.cosh(r)) < 1e-6
+        assert abs(flow_a.c_bdag - phase * math.sinh(r)) < 1e-6
         # the cross coefficients vanish only like r*theta, not faster
-        assert abs(ad_a.c_b) < 5e-5 and abs(ad_a.c_adag) < 5e-5
-        assert abs(ad_b.c_b - math.cosh(r)) < 1e-6
-        assert abs(ad_b.c_adag - phase * math.sinh(r)) < 1e-6
+        assert abs(flow_a.c_b) < 5e-5 and abs(flow_a.c_adag) < 5e-5
+        assert abs(flow_b.c_b - math.cosh(r)) < 1e-6
+        assert abs(flow_b.c_adag - phase * math.sinh(r)) < 1e-6
+
+
+@pytest.mark.parametrize("wrong, row", [("mode_a", 4), ("mode_b", 5)])
+def test_squeeze_commutator_residual_sees_a_missing_theta_term(space20, monkeypatch, wrong, row):
+    """With one mode's closed form replaced by the textbook commutator
+    ([G, a] = z b+ or [G, b] = z a+), which drops its i*theta term, the
+    residual reads that term's size."""
+    ops = build_operator_set(P05, space20)
+    z = SqueezeParam(0.2, 0.6)
+    assert _squeeze_commutator_residual(ops, z) < 1e-12
+    right = analytic.squeeze_commutators(P05, z)
+    textbook = analytic.squeeze_commutators(make_params(1e-200, 1e-200, 1.0), z)
+    patched = dataclasses.replace(right, **{wrong: getattr(textbook, wrong)})
+    monkeypatch.setattr(analytic, "squeeze_commutators", lambda params, z: patched)
+    # i*theta*z times a_def+ (or b_def+): each of its ladder terms fills its
+    # own band, whose largest weight on the safe block is sqrt(cutoff - buffer)
+    size = P05.theta * z.r * np.abs(ops.coeffs[row]).max() * math.sqrt(space20.cutoff - 5)
+    assert _squeeze_commutator_residual(ops, z) == pytest.approx(size, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +192,7 @@ def test_displacement_shift_matches_dense_conjugation(space20):
     assert by_id["displacement_property"].residual <= 1e-12
 
     gen = _displacement_generator(ops, amps)
-    wrong = _commutator_residual(ops.a_def, gen, lams[0] - 1e-3, 5)
+    wrong = _commutator_residual(ops.a_def, gen, (lams[0] - 1e-3) * _identity(space20), 5)
     assert wrong == pytest.approx(1e-3, rel=1e-8)
 
 
@@ -236,8 +262,9 @@ def test_displacement_commutator_is_the_closed_form_shift(
     amps = ModeAmplitudes(complex(re_a, im_a), complex(re_b, im_b))
     gen = _displacement_generator(ops, amps)
     lam_a, lam_b = coherent_eigenvalues(p, amps)
-    assert _commutator_residual(ops.a_def, gen, lam_a, 5) <= 1e-12
-    assert _commutator_residual(ops.b_def, gen, lam_b, 5) <= 1e-12
+    eye = _identity(space12)
+    assert _commutator_residual(ops.a_def, gen, lam_a * eye, 5) <= 1e-12
+    assert _commutator_residual(ops.b_def, gen, lam_b * eye, 5) <= 1e-12
 
 
 @pytest.mark.parametrize("buffer", [-1, 21])
@@ -271,7 +298,7 @@ def test_identity_reports_carry_context(space20):
     by_id = {r.check_id: r for r in reports}
     assert by_id["bogoliubov"].metadata["r"] == 0.1
     assert by_id["heisenberg_weyl"].metadata["cutoff"] == 20
-    assert by_id["bogoliubov"].metadata["closure_residual"] < 1e-10
+    assert by_id["bogoliubov"].residual < 1e-10
 
 
 # ---------------------------------------------------------------------------
