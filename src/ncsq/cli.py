@@ -90,6 +90,8 @@ class SweepSpec:
             raise _UsageError("sweep step must be positive")
         if self.stop < self.start:
             raise _UsageError("sweep stop must not precede start")
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise GridTooLarge("sweep grid point count overflows a float")
         if self.point_count() > MAX_GRID_POINTS:
             raise GridTooLarge(
                 "sweep grid has %d points, limit is %d"
@@ -386,6 +388,8 @@ def _cmd_check(ns: argparse.Namespace) -> Tuple[RunReport, bool]:
 
 
 def _cmd_overcompleteness(ns: argparse.Namespace) -> Tuple[RunReport, bool]:
+    if ns.seed < 0:
+        raise _UsageError("--seed must be non-negative, got %d" % ns.seed)
     params = _params_from(ns)
     z = _squeeze_from(ns)
     explicit = [ns.alpha, ns.beta, ns.alpha2, ns.beta2]

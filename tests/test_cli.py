@@ -299,6 +299,15 @@ def test_overcompleteness_guards(capsys):
     assert "10000000" in capsys.readouterr().err
 
 
+def test_overcompleteness_refuses_a_negative_seed(capsys):
+    argv = ["overcompleteness", "--mu", "0.5", "--nu", "0.5",
+            "--seed", "-1", "--samples", "1000"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ncsq: error: --seed must be non-negative, got -1\n"
+
+
 def test_overcompleteness_rows_carry_effective_sample_size(capsys):
     argv = ["overcompleteness", "--mu", "0.3", "--nu", "0.3",
             "--samples", "5000", "--seed", "9"]
@@ -371,6 +380,22 @@ def test_sweep_guards(capsys):
     backwards = base + ["--variable", "r", "--start", "1", "--stop", "0",
                         "--step", "0.1", "--quantity", "gain_x"]
     assert run(backwards) == 2
+
+
+@pytest.mark.parametrize("start, stop, step", [
+    (-1e308, 1e308, 1.0),
+    (0.0, 1.0, 1e-320),
+])
+def test_sweep_refuses_a_grid_whose_point_count_overflows(capsys, start, stop, step):
+    with pytest.raises(cli.GridTooLarge, match="overflows"):
+        SweepSpec(variable="phi", start=start, stop=stop, step=step)
+    argv = ["sweep", "--variable", "phi", "--start=%r" % start, "--stop", repr(stop),
+            "--step", repr(step), "--quantity", "dx2"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ncsq: error: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("grid", [

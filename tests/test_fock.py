@@ -460,7 +460,7 @@ def test_deformed_vacuum_is_the_joint_null_direction():
 
 
 def test_deformed_vacuum_refuses_an_open_fit(space12):
-    # a b_def whose a+ weight breaks the quadratic-coefficient system
+    # a b_def whose a+ weight makes the pair matrix L asymmetric
     ops = build_operator_set(P05, space12)
     coeffs = ops.coeffs.copy()
     coeffs[5, 1] += 0.1
@@ -468,9 +468,11 @@ def test_deformed_vacuum_refuses_an_open_fit(space12):
         deformed_vacuum(P05, space12, dataclasses.replace(ops, coeffs=coeffs))
 
 
-def test_deformed_vacuum_annihilated(space30):
-    ops = build_operator_set(P05, space30)
-    vac = deformed_vacuum(P05, space30, ops)
+@pytest.mark.parametrize("theta", [0.05, 0.5, 0.9, 0.999])
+def test_deformed_vacuum_annihilated(space30, theta):
+    params = make_params(theta, theta, 1.0)
+    ops = build_operator_set(params, space30)
+    vac = deformed_vacuum(params, space30, ops)
     assert vac.norm() == pytest.approx(1.0, rel=1e-14)
     assert np.linalg.norm(ops.a_def.matrix @ vac.vector) < 1e-10
     assert np.linalg.norm(ops.b_def.matrix @ vac.vector) < 1e-10
