@@ -359,12 +359,20 @@ def bogoliubov_coefficients(params: NcParams, z: SqueezeParam) -> BogoliubovCoef
     opposite creator at sinh(r)*cosh(r*theta) and, new at theta > 0, with
     its own creator at cosh(r)*sinh(r*theta) and the opposite annihilator
     at sinh(r)*sinh(r*theta); the theta-induced terms carry factors of i.
+    Raises NonFinite when a coefficient overflows a float, for r above
+    about 710/(1 + theta).
     """
     theta = params.theta
     r = z.r
     phase = cmath.exp(1j * z.phi)
-    ch_r, sh_r = math.cosh(r), math.sinh(r)
-    ch_t, sh_t = math.cosh(r * theta), math.sinh(r * theta)
+    try:
+        ch_r, sh_r = math.cosh(r), math.sinh(r)
+        ch_t, sh_t = math.cosh(r * theta), math.sinh(r * theta)
+        if not math.isfinite(ch_r * ch_t):  # the largest coefficient
+            raise OverflowError
+    except OverflowError:
+        raise NonFinite(f"the Bogoliubov coefficients at r={r!r}, theta={theta!r} overflow "
+                        "a float; r must stay below about 710/(1 + theta)") from None
 
     mode_a = ModeTransform(
         c_a=complex(ch_r * ch_t),

@@ -379,7 +379,7 @@ def _cmd_check(ns: argparse.Namespace) -> Tuple[RunReport, bool]:
     space = fock.make_space(ns.cutoff)
     fock.check_buffer(space, ns.buffer)
     ops = fock.build_operator_set(params, space)
-    reports = list(verifier.identity_suite(params, space, amps, z, buffer=ns.buffer, ops=ops))
+    reports = verifier.identity_suite(ops, amps, z, buffer=ns.buffer)
     reports += verifier.crosscheck_suite(params, space, [(amps, z)], buffer=ns.buffer, ops=ops)
     rows = _residual_rows(reports)
     failed = any(not rep.passed for rep in reports)

@@ -22,7 +22,8 @@ generator's exact 1-norm.  The deformed vacuum is the first: exp(Q)|0,0>
 with Q quadratic in the ordinary creators only, its 2x2 pair matrix from
 one solve in the ladder coefficients of a_def and b_def and closed by that
 matrix's symmetry.  A squeezed state is its coherent state squeezed, so
-callers that need both build the coherent state once.  The
+callers that need both build the coherent state once; every state
+function takes its params and space from one OperatorSet.  The
 module imports numpy only.  The one dense dim x dim matrix is the unitary
 of displacement_op, about 45 MB at cutoff 40, which the tests and the
 benchmark's displacement probe still conjugate; it is the package's only
@@ -464,7 +465,7 @@ class OperatorSet:
     @functools.cached_property
     def ground(self) -> StateVector:
         """The joint null state of both deformed annihilators, cached."""
-        return deformed_vacuum(self.params, self.space, self)
+        return deformed_vacuum(self)
 
 
 def build_operator_set(params: NcParams, space: FockSpace) -> OperatorSet:
@@ -478,14 +479,17 @@ def build_operator_set(params: NcParams, space: FockSpace) -> OperatorSet:
     )
 
 
-def _displacement_generator(ops: OperatorSet, amps: ModeAmplitudes) -> OperatorMatrix:
-    """alpha a_def+ + beta b_def+ - conj(alpha) a_def - conj(beta) b_def,
-    built from its coefficient 4-vector."""
+def _displacement_row(ops: OperatorSet, amps: ModeAmplitudes) -> np.ndarray:
+    """The coefficient 4-vector over (a, a+, b, b+) of the displacement
+    generator alpha a_def+ + beta b_def+ - conj(alpha) a_def - conj(beta) b_def."""
     alpha, beta = amps.alpha, amps.beta
     a_row, b_row = ops.coeffs[4:]
-    row = (alpha * _adjoint(a_row) + beta * _adjoint(b_row)
-           - np.conjugate(alpha) * a_row - np.conjugate(beta) * b_row)
-    return _from_coefficients(ops.space, row)
+    return (alpha * _adjoint(a_row) + beta * _adjoint(b_row)
+            - np.conjugate(alpha) * a_row - np.conjugate(beta) * b_row)
+
+
+def _displacement_generator(ops: OperatorSet, amps: ModeAmplitudes) -> OperatorMatrix:
+    return _from_coefficients(ops.space, _displacement_row(ops, amps))
 
 
 def _squeeze_generator(ops: OperatorSet, z: SqueezeParam) -> OperatorMatrix:
@@ -493,11 +497,10 @@ def _squeeze_generator(ops: OperatorSet, z: SqueezeParam) -> OperatorMatrix:
     return np.conjugate(zc) * ops.pair_annihilator - zc * ops.pair_creator
 
 
-def _refuse_large_squeeze(z: Optional[SqueezeParam], max_r: float) -> None:
-    if z is not None and z.r > max_r:
+def _refuse_large_squeeze(z: Optional[SqueezeParam]) -> None:
+    if z is not None and z.r > DEFAULT_MAX_SQUEEZE:
         raise SqueezeTooLargeForCutoff(
-            f"squeeze r={z.r} exceeds max_r={max_r}; raise max_r explicitly "
-            "if the cutoff can absorb it"
+            f"squeeze r={z.r} exceeds the engine's bound r <= {DEFAULT_MAX_SQUEEZE}"
         )
 
 
@@ -539,10 +542,8 @@ def displacement_op(
     return _DenseUnitary(unitary)
 
 
-def deformed_vacuum(
-    params: NcParams, space: FockSpace, ops: Optional[OperatorSet] = None
-) -> StateVector:
-    """The state annihilated by both deformed annihilators.
+def deformed_vacuum(ops: OperatorSet) -> StateVector:
+    """The state annihilated by both deformed annihilators of ops.
 
     Write a_def and b_def as Ma (a, b) + Mc (a+, b+), with Ma and Mc the
     2x2 annihilator and creator parts of their ladder coefficients.  The
@@ -552,8 +553,7 @@ def deformed_vacuum(
     an asymmetry |L01 - L10| above 1e-10 raises SaturatedOrSuperCritical.
     Q only raises the occupation, and exp(Q)|0,0> is one expm_multiply.
     """
-    if ops is None:
-        ops = build_operator_set(params, space)
+    space = ops.space
     # rows a_def, b_def over (a, a+, b, b+): annihilator columns 0 and 2
     rows = ops.coeffs[4:]
     lam = -np.linalg.solve(rows[:, [0, 2]], rows[:, [1, 3]])
@@ -629,32 +629,43 @@ def expm_multiply(matrix: OperatorMatrix, vector: np.ndarray) -> np.ndarray:
 
 
 def make_state(
-    params: NcParams,
-    space: FockSpace,
+    ops: OperatorSet,
     amps: Optional[ModeAmplitudes] = None,
     z: Optional[SqueezeParam] = None,
     *,
-    ops: Optional[OperatorSet] = None,
     buffer: int = DEFAULT_BUFFER,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    max_r: float = DEFAULT_MAX_SQUEEZE,
 ) -> StateVector:
-    """Displaced, optionally squeezed state of the deformed pair.
+    """Displaced, optionally squeezed state of the deformed pair of ops.
 
     Pipeline: deformed vacuum, then the displacement, then the squeeze (so
     the squeeze acts last), each unitary applied to the vector by
     expm_multiply's truncated Taylor series rather than formed as a full
     matrix exponential.
+    Refused before any exponential: a buffer outside [0, cutoff]
+    (BufferOutOfRange), r above DEFAULT_MAX_SQUEEZE (SqueezeTooLargeForCutoff),
+    and a displacement whose mean ordinary occupation |<a>|**2 + |<b>|**2
+    (the generator's a+ and b+ weights) exceeds cutoff - buffer
+    (PopulationOverflow): its truncated exponential would reflect off the
+    cutoff, unseen by the tail guard, in a step count that grows with it.
     The result is normalised and guarded: if more than tail_tol of its
     population sits within ``buffer`` quanta of the cutoff, the truncation
     cannot be trusted and PopulationOverflow is raised.
     """
-    _refuse_large_squeeze(z, max_r)
-    if ops is None:
-        ops = build_operator_set(params, space)
+    space = ops.space
+    check_buffer(space, buffer)
+    _refuse_large_squeeze(z)
     vec = ops.ground.vector
     if amps is not None and (amps.alpha != 0.0 or amps.beta != 0.0):
-        vec = expm_multiply(_displacement_generator(ops, amps), vec)
+        row = _displacement_row(ops, amps)
+        # Python floats: the square overflows to inf, without a warning
+        mean = math.hypot(abs(row[1]), abs(row[3]))
+        if not mean * mean <= space.cutoff - buffer:
+            raise PopulationOverflow(
+                f"the displaced state's mean occupation {mean * mean:.3e} exceeds "
+                f"cutoff {space.cutoff} minus buffer {buffer}; increase the cutoff"
+            )
+        vec = expm_multiply(_from_coefficients(space, row), vec)
     return _squeeze_and_guard(ops, vec, z, buffer, tail_tol)
 
 
@@ -669,7 +680,7 @@ def _squeeze_and_guard(
     and raise PopulationOverflow if more than tail_tol of the population
     lies within ``buffer`` quanta of the cutoff.  Callers that already hold
     a displaced state squeeze it here rather than rebuild it; they refuse
-    r beyond max_r first, as make_state does."""
+    r beyond DEFAULT_MAX_SQUEEZE first, as make_state does."""
     if z is not None and z.r > 0.0:
         vec = expm_multiply(_squeeze_generator(ops, z), vec)
     out = StateVector(ops.space, vec).normalized()

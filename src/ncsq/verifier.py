@@ -7,10 +7,11 @@ Three families of evidence that the two sides describe the same physics:
   (as the commutators of the squeeze generator with each annihilator,
   against their closed forms), measured directly on matrices over the
   safe subspace, where a single commutator is exact and a conjugation is
-  not; and the eigenvalue relations of the coherent state, which cover the
-  squeezed state too, because the truncated squeeze is unitary;
-* state crosschecks: overlaps and quadrature variances of concrete states,
-  engine versus closed form;
+  not; they build no state;
+* state crosschecks, which build every state: the eigenvalue relations of
+  each coherent state (they cover the squeezed state too, because the
+  truncated squeeze is unitary), and overlaps and quadrature variances of
+  concrete states, engine versus closed form;
 * Monte-Carlo overcompleteness: the weighted coherent-state integral of
   the identity operator, sampled with a Gaussian importance density and
   compared against the closed-form overlap it must reproduce.
@@ -33,10 +34,10 @@ from . import analytic
 from .analytic import ModeAmplitudes, SqueezeParam
 from .fock import (
     DEFAULT_BUFFER,
-    DEFAULT_MAX_SQUEEZE,
     FockSpace,
     OperatorMatrix,
     OperatorSet,
+    SpaceMismatch,
     _adjoint,
     _displacement_generator,
     _from_coefficients,
@@ -266,39 +267,30 @@ _ALGEBRA_CLASSES = {
 
 
 def identity_suite(
-    params: NcParams,
-    space: FockSpace,
+    ops: OperatorSet,
     amps: ModeAmplitudes,
     z: SqueezeParam,
     buffer: int = DEFAULT_BUFFER,
-    ops: Optional[OperatorSet] = None,
 ) -> List[ResidualReport]:
-    """All operator-level identities, one report per identity class.
+    """All operator-level identities of ops, one report per identity class.
 
     Classes: the phase-plane commutators, the deformed and ordinary boson
     algebras, the displacement shift property, the deformed Bogoliubov
-    transformation, the eigenvalue relations of the coherent state, and
-    the collective-quadrature commutator.  The shift D+ m D = m + lambda_m
-    holds exactly because [m, G] = lambda_m is a c-number for the
-    displacement generator G, so it is checked as that commutator on the
-    safe block.  The Bogoliubov transformation S m S+ is the flow of one
-    annihilator's image [G, m] under the squeeze generator G, so it is
-    checked as that commutator against squeeze_commutators, on the safe
-    block, for m = a_def and b_def.  The squeezed state needs no eigenvalue relation of its
-    own: the truncated squeeze S is unitary, so the residual of S m S+ on
-    S|coh> is the norm of S(m|coh> - lambda_m|coh>), the coherent one.
-    Refuses a buffer outside [0, cutoff] with BufferOutOfRange, and a
-    squeeze beyond make_state's max_r with SqueezeTooLargeForCutoff,
-    before building anything.  The coherent state is built under
-    make_state's default tail guard at its default buffer, not the
-    caller's, and below cutoff 5 within the cutoff itself, where all
-    population off |0,0> counts as tail; a state that guard refuses
-    raises make_state's PopulationOverflow, which names the cutoff.
+    transformation and the collective-quadrature commutator.  The shift
+    D+ m D = m + lambda_m holds exactly because [m, G] = lambda_m is a
+    c-number for the displacement generator G, so it is checked as that
+    commutator on the safe block.  The Bogoliubov transformation S m S+ is
+    the flow of one annihilator's image [G, m] under the squeeze generator
+    G, so it is checked as that commutator against squeeze_commutators, on
+    the safe block, for m = a_def and b_def.  The suite builds no state:
+    the eigenvalue relations are crosscheck_suite's.  Refuses a buffer
+    outside [0, cutoff] with BufferOutOfRange, and a squeeze beyond
+    make_state's bound with SqueezeTooLargeForCutoff, before computing
+    anything.
     """
+    params, space = ops.params, ops.space
     check_buffer(space, buffer)
-    _refuse_large_squeeze(z, DEFAULT_MAX_SQUEEZE)
-    if ops is None:
-        ops = build_operator_set(params, space)
+    _refuse_large_squeeze(z)
     meta = _params_meta(params, space, buffer)
     resids = algebra_residuals(ops, buffer)
     reports = [
@@ -332,27 +324,6 @@ def identity_suite(
         )
     )
 
-    # guarded at the default buffer, not the caller's: at buffer = cutoff
-    # all population would count as tail
-    guard = min(DEFAULT_BUFFER, space.cutoff)
-    coh = make_state(params, space, amps, ops=ops, buffer=guard)
-    eig = max(
-        float(np.linalg.norm(ops.a_def @ coh.vector - lam_a * coh.vector)),
-        float(np.linalg.norm(ops.b_def @ coh.vector - lam_b * coh.vector)),
-    )
-    reports.append(
-        _report(
-            "eigenvalue_relations",
-            eig,
-            OPERATOR_TOL,
-            alpha=str(amps.alpha),
-            beta=str(amps.beta),
-            r=z.r,
-            phi=z.phi,
-            **meta,
-        )
-    )
-
     reports.append(_report("two_mode_commutator", resids["XP"], COMMUTATOR_TOL, **meta))
     return reports
 
@@ -371,28 +342,34 @@ def crosscheck_suite(
 ) -> List[ResidualReport]:
     """State-level closed-form versus engine comparisons.
 
-    For each (amplitudes, squeeze) case: the overlaps of the state against
-    the deformed vacuum and against the coherent state with the same
-    amplitudes, and the six quadrature variances, all compared to their
-    closed forms at relative tolerance 1e-6.  Each case's coherent state
-    is built once, serves as the bra, and is squeezed into the case's
-    state; every state is built under the tail guard at the caller's
-    buffer.  Refuses a buffer outside [0, cutoff] with BufferOutOfRange,
-    and a squeeze beyond make_state's max_r with SqueezeTooLargeForCutoff,
-    before building anything.
+    For each (amplitudes, squeeze) case: the eigenvalue relations
+    m|coh> = lambda_m|coh> (m = a_def, b_def) of its coherent state at
+    tolerance 1e-8, then the overlaps of the state against the deformed
+    vacuum and the coherent state, and its six quadrature variances, at
+    relative tolerance 1e-6 against their closed forms.  The truncated
+    squeeze S is unitary, so S m S+ on S|coh> has the coherent state's
+    residual.  Each case's coherent state is built once, serves as the
+    bra, and is squeezed into the case's state, all under the tail guard
+    at the caller's buffer.  Refuses a buffer outside [0, cutoff]
+    (BufferOutOfRange), a squeeze beyond make_state's bound
+    (SqueezeTooLargeForCutoff) and an ops built for other params or
+    another cutoff (SpaceMismatch) before building anything.
     """
     check_buffer(space, buffer)
     for _, z in cases:
-        _refuse_large_squeeze(z, DEFAULT_MAX_SQUEEZE)
+        _refuse_large_squeeze(z)
     if ops is None:
         ops = build_operator_set(params, space)
+    elif ops.params != params or ops.space != space:
+        raise SpaceMismatch(f"operator set built for theta {ops.params.theta!r} at cutoff "
+                            f"{ops.space.cutoff}, not {params.theta!r} at {space.cutoff}")
     vac_amps = ModeAmplitudes(0.0, 0.0)
-    vacuum = make_state(params, space, ops=ops, buffer=buffer)
+    vacuum = make_state(ops, buffer=buffer)
     quads = _quadratures(ops)
 
     reports: List[ResidualReport] = []
     for index, (amps, z) in enumerate(cases):
-        coherent = make_state(params, space, amps, ops=ops, buffer=buffer)
+        coherent = make_state(ops, amps, buffer=buffer)
         case_meta = {
             "case": index,
             "alpha": str(amps.alpha),
@@ -401,6 +378,10 @@ def crosscheck_suite(
             "phi": 0.0 if z is None else z.phi,
         }
         case_meta.update(_params_meta(params, space, buffer))
+
+        eig = max(np.linalg.norm(m @ coherent.vector - lam * coherent.vector) for m, lam
+                  in zip((ops.a_def, ops.b_def), analytic.coherent_eigenvalues(params, amps)))
+        reports.append(_report(f"eigenvalue[{index}]", eig, OPERATOR_TOL, **case_meta))
 
         if z is None or z.r == 0.0:
             state = coherent
@@ -580,10 +561,8 @@ def convergence_probe(
         ops = build_operator_set(params, space)
         # The probe exists to measure truncation error, so it must be able
         # to build states whose truncation error is still visible.
-        state = make_state(params, space, amps, z, ops=ops, buffer=buffer,
-                           tail_tol=1e-3)
-        vacuum = make_state(params, space, ops=ops, buffer=buffer,
-                            tail_tol=1e-3)
+        state = make_state(ops, amps, z, buffer=buffer, tail_tol=1e-3)
+        vacuum = make_state(ops, buffer=buffer, tail_tol=1e-3)
         for name, op in _quadratures(ops).items():
             _, variance = expectation_and_variance(state, op)
             tracked[name].append(variance)

@@ -182,7 +182,7 @@ def test_ac4_variance_formulas(crosschecks):
              "dX2": 0.5 * (ops.x + ops.y), "dP2": 0.5 * (ops.px + ops.py)}
     tracked = {name: [] for name in quads}
     for alpha, beta in ((0.0, 0.0), (0.5, 0.2j), (-0.4 + 0.3j, 0.6)):
-        state = make_state(params, space, ModeAmplitudes(alpha, beta), z, ops=ops)
+        state = make_state(ops, ModeAmplitudes(alpha, beta), z)
         for name, op in quads.items():
             _, var = expectation_and_variance(state, op)
             tracked[name].append(var)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from datetime import datetime
 from pathlib import Path
 
@@ -194,6 +195,14 @@ def test_bogoliubov_values(capsys):
                                                rel=1e-14)
 
 
+@pytest.mark.parametrize("r", ["710", "1000"])
+def test_bogoliubov_refuses_coefficients_that_overflow(capsys, r):
+    assert run(["bogoliubov", "--mu", "0.5", "--nu", "0.5", "--r", r]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ncsq: error:") and "overflow a float" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -253,6 +262,22 @@ def test_check_buffer_out_of_range_exits_two(capsys, monkeypatch, buffer):
     assert code == 2
     assert "[0, 20]" in capsys.readouterr().err
     assert builds == []
+
+
+@pytest.mark.parametrize("argv", [
+    # the truncated displacement reflects off cutoff 40, under the tail guard
+    ["--mu", "0.05", "--nu", "0.05", "--alpha=-12.649110640673518",
+     "--beta=12.649110640673518i", "--r", "0"],
+    # unrefused, the exponential's step count would grow with |alpha|
+    ["--mu", "0.5", "--nu", "0.5", "--alpha=1e4"],
+    ["--mu", "0.5", "--nu", "0.5", "--alpha=1e200"],
+])
+def test_check_refuses_a_displacement_beyond_the_cutoff(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["check", *argv])
+    assert code == 2
+    assert "mean occupation" in capsys.readouterr().err
 
 
 def test_check_bad_cutoff_exits_two(capsys):

@@ -16,6 +16,7 @@ from scipy.sparse import csr_array, diags_array, eye_array, kron
 from conftest import squeezed_eigen_residual, to_csr
 
 from ncsq import (
+    BufferOutOfRange,
     CutoffOutOfRange,
     ModeAmplitudes,
     NonFinite,
@@ -400,7 +401,7 @@ def test_squeeze_adjoint_is_negated_squeeze():
     gen_dag, gen_neg = _squeeze_generator(ops, z).dag(), _squeeze_generator(ops, neg)
     assert gen_dag.offsets == gen_neg.offsets
     assert np.abs(gen_dag.bands - gen_neg.bands).max() < 1e-11
-    coh = make_state(P05, space, ModeAmplitudes(0.5, 0.2j), ops=ops).vector
+    coh = make_state(ops, ModeAmplitudes(0.5, 0.2j)).vector
     squeezed = fock.expm_multiply(_squeeze_generator(ops, z), coh)
     round_trip = fock.expm_multiply(gen_neg, squeezed)
     assert np.abs(round_trip - coh).max() < 1e-13
@@ -455,7 +456,7 @@ def test_deformed_vacuum_is_the_joint_null_direction():
         assert sv[-1] < 1e-12
         assert sv[-2] > 0.1
         kernel = vt[-1].conj()
-        vac = deformed_vacuum(params, space, ops)
+        vac = deformed_vacuum(ops)
         assert abs(np.vdot(kernel, vac.vector)) > 1.0 - 1e-12
 
 
@@ -465,14 +466,14 @@ def test_deformed_vacuum_refuses_an_open_fit(space12):
     coeffs = ops.coeffs.copy()
     coeffs[5, 1] += 0.1
     with pytest.raises(SaturatedOrSuperCritical):
-        deformed_vacuum(P05, space12, dataclasses.replace(ops, coeffs=coeffs))
+        deformed_vacuum(dataclasses.replace(ops, coeffs=coeffs))
 
 
 @pytest.mark.parametrize("theta", [0.05, 0.5, 0.9, 0.999])
 def test_deformed_vacuum_annihilated(space30, theta):
     params = make_params(theta, theta, 1.0)
     ops = build_operator_set(params, space30)
-    vac = deformed_vacuum(params, space30, ops)
+    vac = deformed_vacuum(ops)
     assert vac.norm() == pytest.approx(1.0, rel=1e-14)
     assert np.linalg.norm(ops.a_def.matrix @ vac.vector) < 1e-10
     assert np.linalg.norm(ops.b_def.matrix @ vac.vector) < 1e-10
@@ -481,12 +482,12 @@ def test_deformed_vacuum_annihilated(space30, theta):
 def test_deformed_vacuum_differs_from_bare_vacuum(space30):
     # at theta = 0.5 the pair correlations are real: the overlap with
     # |0,0> must be high but strictly below one
-    vac = deformed_vacuum(P05, space30)
+    vac = deformed_vacuum(build_operator_set(P05, space30))
     ov = abs(basis_state(space30, 0, 0).inner(vac))
     assert 0.99 < ov < 1.0 - 1e-4
 
     tiny = make_params(1e-4, 1e-4, 1.0)
-    vac_tiny = deformed_vacuum(tiny, space30)
+    vac_tiny = deformed_vacuum(build_operator_set(tiny, space30))
     assert abs(basis_state(space30, 0, 0).inner(vac_tiny)) > 1.0 - 1e-7
 
 
@@ -499,7 +500,7 @@ def test_coherent_state_is_joint_eigenvector():
     params = P05
     ops = build_operator_set(params, space)
     amps = ModeAmplitudes(1.0, 0.5j)
-    state = make_state(params, space, amps, ops=ops)
+    state = make_state(ops, amps)
     lam_a = amps.alpha + 1j * params.theta * amps.beta
     lam_b = amps.beta - 1j * params.theta * amps.alpha
     assert np.linalg.norm(ops.a_def.matrix @ state.vector
@@ -516,7 +517,7 @@ def test_squeezed_state_is_eigenvector_of_conjugated_mode():
     ops = build_operator_set(P05, space)
     amps = ModeAmplitudes(0.4, 0.2j)
     z = SqueezeParam(0.25, 0.9)
-    state = make_state(P05, space, amps, z, ops=ops)
+    state = make_state(ops, amps, z)
     lam_a, lam_b = coherent_eigenvalues(P05, amps)
     assert squeezed_eigen_residual(ops, z, state.vector, lam_a, lam_b) < 1e-8
 
@@ -524,17 +525,61 @@ def test_squeezed_state_is_eigenvector_of_conjugated_mode():
 def test_make_state_population_guard():
     space = make_space(10)
     with pytest.raises(PopulationOverflow):
-        make_state(P05, space, ModeAmplitudes(6.0, 0.0))
+        make_state(build_operator_set(P05, space), ModeAmplitudes(6.0, 0.0))
+
+
+def test_displacement_row_holds_the_ordinary_means():
+    """The a+ and b+ weights of the displacement generator are <a> and <b>
+    of the displaced state, which make_state's mean-occupation refusal
+    reads before it builds anything."""
+    ops = build_operator_set(P05, make_space(40))
+    for amps in (ModeAmplitudes(0.5, 0.2j), ModeAmplitudes(2.0, 0.2j)):
+        row = fock._displacement_row(ops, amps)
+        state = make_state(ops, amps)
+        assert abs(expectation(state, ops.a_ord) - row[1]) < 1e-12
+        assert abs(expectation(state, ops.b_ord) - row[3]) < 1e-12
+
+
+def test_make_state_refuses_a_displacement_the_truncation_reflects(monkeypatch):
+    """At theta 0.05 and cutoff 40 this displacement has mean occupation
+    336.  Its truncated exponential bounces off the cutoff: the tail guard
+    sees almost no population near it, while the eigenvalue relation is
+    off by more than 1.  make_state refuses the mean before the
+    exponential."""
+    p = make_params(0.05, 0.05, 1.0)
+    ops = build_operator_set(p, make_space(40))
+    amps = ModeAmplitudes(-12.649110640673518, 12.649110640673518j)
+    vec = fock.expm_multiply(_displacement_generator(ops, amps), ops.ground.vector)
+    reflected = StateVector(ops.space, vec).normalized()
+    assert safe_norm_fraction(reflected) < 1e-18
+    residual = max(np.linalg.norm(m @ reflected.vector - lam * reflected.vector)
+                   for m, lam in zip((ops.a_def, ops.b_def), coherent_eigenvalues(p, amps)))
+    assert residual > 1.0
+
+    calls = []
+    real = fock.expm_multiply
+    monkeypatch.setattr(fock, "expm_multiply", lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(PopulationOverflow, match="mean occupation 3.36.e[+]02 exceeds cutoff 40"):
+        make_state(ops, amps)
+    assert calls == []
+
+
+def test_make_state_refuses_a_buffer_outside_the_cutoff(space12):
+    ops = build_operator_set(P05, space12)
+    for buffer in (-1, 13):
+        with pytest.raises(BufferOutOfRange):
+            make_state(ops, ModeAmplitudes(0.1, 0.0), buffer=buffer)
 
 
 def test_make_state_rejects_big_squeeze(space20):
     with pytest.raises(SqueezeTooLargeForCutoff):
-        make_state(P05, space20, ModeAmplitudes(0.0, 0.0), SqueezeParam(0.75, 0.0))
+        make_state(build_operator_set(P05, space20), ModeAmplitudes(0.0, 0.0),
+                   SqueezeParam(0.75, 0.0))
 
 
 def test_coherent_tail_is_poissonian_small():
     space = make_space(40)
-    state = make_state(P05, space, ModeAmplitudes(1.0, 0.0))
+    state = make_state(build_operator_set(P05, space), ModeAmplitudes(1.0, 0.0))
     assert safe_norm_fraction(state, buffer=5) < 1e-20
 
 
@@ -555,7 +600,7 @@ def test_safe_norm_fraction_vacuum_and_validation(space12):
 
 def test_vacuum_quadrature_variance(space20):
     ops = build_operator_set(P05, space20)
-    vac = make_state(P05, space20, ops=ops)
+    vac = make_state(ops)
     mean, var = expectation_and_variance(vac, ops.x)
     assert abs(mean) < 1e-12
     # (hbar/2)*sqrt(mu/nu) with mu = nu reduces to hbar/2

@@ -61,9 +61,15 @@ IDENTITY_IDS = {
     "ordinary_algebra",
     "displacement_property",
     "bogoliubov",
-    "eigenvalue_relations",
     "two_mode_commutator",
 }
+
+
+def _eigenvalue_report(ops, amps):
+    """crosscheck_suite's eigenvalue relation on the coherent state of amps."""
+    reports = crosscheck_suite(ops.params, ops.space, [(amps, None)], ops=ops)
+    assert reports[0].check_id == "eigenvalue[0]"
+    return reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +163,22 @@ def test_squeeze_commutator_residual_sees_a_missing_theta_term(space20, monkeypa
 
 
 def test_identity_suite_all_pass(space30):
-    reports = identity_suite(P05, space30, ModeAmplitudes(0.5, 0.2j),
-                             SqueezeParam(0.3, math.pi / 4))
+    ops = build_operator_set(P05, space30)
+    amps = ModeAmplitudes(0.5, 0.2j)
+    reports = identity_suite(ops, amps, SqueezeParam(0.3, math.pi / 4))
     assert {r.check_id for r in reports} == IDENTITY_IDS
-    for report in reports:
+    for report in [*reports, _eigenvalue_report(ops, amps)]:
         assert report.passed, (report.check_id, report.residual)
         assert report.residual < 1e-8
 
 
 def test_identity_suite_without_squeeze(space20):
-    reports = identity_suite(P05, space20, ModeAmplitudes(0.3, 0.1j),
-                             SqueezeParam(0.0, 0.0))
+    ops = build_operator_set(P05, space20)
+    amps = ModeAmplitudes(0.3, 0.1j)
+    reports = identity_suite(ops, amps, SqueezeParam(0.0, 0.0))
     assert {r.check_id for r in reports} == IDENTITY_IDS
     assert all(r.passed for r in reports)
+    assert _eigenvalue_report(ops, amps).passed
 
 
 def test_displacement_shift_matches_dense_conjugation(space20):
@@ -187,7 +196,7 @@ def test_displacement_shift_matches_dense_conjugation(space20):
         shift = (disp.conj().T @ m @ disp - m - lam * eye)[np.ix_(idx, idx)]
         assert np.abs(shift).max() < 1e-8
 
-    reports = identity_suite(P05, space20, amps, SqueezeParam(0.0, 0.0), ops=ops)
+    reports = identity_suite(ops, amps, SqueezeParam(0.0, 0.0))
     by_id = {r.check_id: r for r in reports}
     assert by_id["displacement_property"].residual <= 1e-12
 
@@ -198,11 +207,11 @@ def test_displacement_shift_matches_dense_conjugation(space20):
 
 def test_identity_suite_at_a_large_displacement_and_cutoff():
     # |alpha| 0.7 sits well inside what the tail guard admits at cutoff 40
-    p = make_params(0.8, 0.8, 1.0)
-    reports = identity_suite(p, make_space(40), ModeAmplitudes(0.7j, 0.0),
-                             SqueezeParam(0.2, 0.5))
+    ops = build_operator_set(make_params(0.8, 0.8, 1.0), make_space(40))
+    amps = ModeAmplitudes(0.7j, 0.0)
+    reports = identity_suite(ops, amps, SqueezeParam(0.2, 0.5))
     assert {r.check_id for r in reports} == IDENTITY_IDS
-    for report in reports:
+    for report in [*reports, _eigenvalue_report(ops, amps)]:
         assert report.passed, (report.check_id, report.residual)
 
 
@@ -215,32 +224,29 @@ def test_identity_suite_at_a_large_displacement_and_cutoff():
 def test_eigenvalue_relations_equal_the_squeezed_round_trip(space30, theta, amps, z):
     """The truncated squeeze S is unitary, so the relation of S m S+ on
     S|coh>, applied as S+, then m, then S, has the residual that
-    identity_suite reports on |coh> alone."""
+    crosscheck_suite reports on |coh> alone, as eigenvalue[i]."""
     p = make_params(theta, theta, 1.0)
     ops = build_operator_set(p, space30)
-    by_id = {r.check_id: r for r in identity_suite(p, space30, amps, z, ops=ops)}
+    coherent = _eigenvalue_report(ops, amps)
     # squeezing fattens the tail (3e-10 within 5 quanta at r 0.3, past the
     # default guard); the oracle only needs the vector
-    sqz = make_state(p, space30, amps, z, ops=ops, tail_tol=1e-6)
+    sqz = make_state(ops, amps, z, tail_tol=1e-6)
     round_trip = squeezed_eigen_residual(ops, z, sqz.vector,
                                          *coherent_eigenvalues(p, amps))
-    assert abs(round_trip - by_id["eigenvalue_relations"].residual) <= 1e-14
+    assert abs(round_trip - coherent.residual) <= 1e-14
 
 
-@pytest.mark.parametrize("amps, calls_made", [
-    (ModeAmplitudes(0.5, 0.2j), 1),
-    (ModeAmplitudes(0.0, 0.0), 0),
-])
-def test_identity_suite_makes_one_exponential(space30, monkeypatch, amps, calls_made):
+@pytest.mark.parametrize("amps", [ModeAmplitudes(0.5, 0.2j), ModeAmplitudes(0.0, 0.0)])
+def test_identity_suite_makes_no_exponential(space30, monkeypatch, amps):
     ops = build_operator_set(P05, space30)
     calls = _count_expm_multiply(monkeypatch)
-    identity_suite(P05, space30, amps, SqueezeParam(0.3, math.pi / 4), ops=ops)
-    # the vacuum's exponential, then the suite's own
-    assert len(calls) == 1 + calls_made
+    identity_suite(ops, amps, SqueezeParam(0.3, math.pi / 4))
+    assert calls == []
+    assert "ground" not in vars(ops)
     assert not hasattr(verifier, "expm_multiply")
 
 
-def test_identity_suite_refuses_a_failure_the_tail_explains():
+def test_crosscheck_refuses_a_failure_the_tail_explains():
     # at cutoff 40 this coherent state leaks 7e-10 of its population into
     # the top 5 levels, past the default guard of 1e-10, and its eigenvalue
     # relation reads 1.2e-7 against 1e-8: a refusal, not a failed check
@@ -248,7 +254,11 @@ def test_identity_suite_refuses_a_failure_the_tail_explains():
     amp = 2.5 / math.sqrt(2.0)
     amps = ModeAmplitudes(amp * cmath.exp(0.25j * math.pi), amp)
     with pytest.raises(PopulationOverflow, match="within 5 quanta of cutoff 40"):
-        identity_suite(p, make_space(40), amps, SqueezeParam(0.0, 0.0))
+        crosscheck_suite(p, make_space(40), [(amps, None)])
+    # at buffer 0 the caller trusts the truncation up to the cutoff
+    eigen = crosscheck_suite(p, make_space(40), [(amps, None)], buffer=0)[0]
+    assert eigen.check_id == "eigenvalue[0]" and not eigen.passed
+    assert 1e-7 < eigen.residual < 2e-7
 
 
 _BOX = st.floats(-2.0, 2.0)
@@ -272,7 +282,7 @@ def test_displacement_commutator_is_the_closed_form_shift(
 def test_suites_refuse_out_of_range_buffer(space20, buffer):
     amps, z = ModeAmplitudes(0.1, 0.0), SqueezeParam(0.1, 0.0)
     with pytest.raises(BufferOutOfRange, match=r"\[0, 20\]"):
-        identity_suite(P05, space20, amps, z, buffer=buffer)
+        identity_suite(build_operator_set(P05, space20), amps, z, buffer=buffer)
     with pytest.raises(BufferOutOfRange, match=r"\[0, 20\]"):
         crosscheck_suite(P05, space20, [(amps, z)], buffer=buffer)
 
@@ -280,8 +290,9 @@ def test_suites_refuse_out_of_range_buffer(space20, buffer):
 def test_identity_suite_reports_at_the_buffer_range_edges(space12):
     # buffer = cutoff leaves only |0,0>, where every span operator is zero:
     # the suite must still report each class, not crash on the empty fit
+    ops = build_operator_set(P05, space12)
     for buffer in (0, space12.cutoff):
-        reports = identity_suite(P05, space12, ModeAmplitudes(0.1, 0.0),
+        reports = identity_suite(ops, ModeAmplitudes(0.1, 0.0),
                                  SqueezeParam(0.1, 0.0), buffer=buffer)
         assert {r.check_id for r in reports} == IDENTITY_IDS
 
@@ -294,7 +305,7 @@ def test_safe_block_max_refuses_an_empty_block(space12):
 
 
 def test_identity_reports_carry_context(space20):
-    reports = identity_suite(P05, space20, ModeAmplitudes(0.2, 0.0),
+    reports = identity_suite(build_operator_set(P05, space20), ModeAmplitudes(0.2, 0.0),
                              SqueezeParam(0.1, 0.0))
     by_id = {r.check_id: r for r in reports}
     assert by_id["bogoliubov"].metadata["r"] == 0.1
@@ -310,7 +321,7 @@ def test_crosscheck_squeezed_vacuum():
     space = make_space(40)
     cases = [(ModeAmplitudes(0.0, 0.0), SqueezeParam(0.3, math.pi / 4))]
     reports = crosscheck_suite(P05, space, cases)
-    assert len(reports) == 2
+    assert len(reports) == 3
     for report in reports:
         assert report.passed
         assert report.residual < 1e-8
@@ -345,8 +356,10 @@ def test_crosscheck_metadata_names_cases(space30):
              (ModeAmplitudes(0.0, 0.2j), SqueezeParam(0.2, 0.5))]
     reports = crosscheck_suite(P05, space30, cases)
     ids = [r.check_id for r in reports]
-    assert ids == ["overlap[0]", "variance[0]", "overlap[1]", "variance[1]"]
-    assert reports[2].metadata["r"] == 0.2
+    assert ids == ["eigenvalue[0]", "overlap[0]", "variance[0]",
+                   "eigenvalue[1]", "overlap[1]", "variance[1]"]
+    assert reports[3].metadata["r"] == 0.2
+    assert reports[3].metadata == reports[4].metadata
 
 
 @pytest.mark.parametrize("buffer", [0, 2, 5, 8])
@@ -396,9 +409,20 @@ def test_suites_refuse_a_large_squeeze_before_building_a_state(space20, monkeypa
     with pytest.raises(SqueezeTooLargeForCutoff):
         crosscheck_suite(P05, space20, [(amps, None), (amps, big)], ops=ops)
     with pytest.raises(SqueezeTooLargeForCutoff):
-        identity_suite(P05, space20, amps, big, ops=ops)
+        identity_suite(ops, amps, big)
     assert calls == []
     assert "ground" not in vars(ops)
+
+
+@pytest.mark.parametrize("params, cutoff", [(make_params(0.8, 0.8, 1.0), 30), (P05, 20)])
+def test_crosscheck_refuses_an_operator_set_built_for_other_inputs(
+        space30, monkeypatch, params, cutoff):
+    calls = _count_expm_multiply(monkeypatch)
+    ops = build_operator_set(params, make_space(cutoff))
+    cases = [(ModeAmplitudes(0.3, 0.1j), SqueezeParam(0.2, 0.5))]
+    with pytest.raises(fock.SpaceMismatch, match="operator set built for"):
+        crosscheck_suite(P05, space30, cases, ops=ops)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
