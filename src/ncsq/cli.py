@@ -379,6 +379,8 @@ def _cmd_check(ns: argparse.Namespace) -> Tuple[RunReport, bool]:
     space = fock.make_space(ns.cutoff)
     fock.check_buffer(space, ns.buffer)
     ops = fock.build_operator_set(params, space)
+    # make_state's refusal, before identity_suite builds the generator
+    fock.check_displacement(ops, amps, ns.buffer)
     reports = verifier.identity_suite(ops, amps, z, buffer=ns.buffer)
     reports += verifier.crosscheck_suite(params, space, [(amps, z)], buffer=ns.buffer, ops=ops)
     rows = _residual_rows(reports)

@@ -63,6 +63,7 @@ __all__ = [
     "basis_state",
     "build_operator_set",
     "check_buffer",
+    "check_displacement",
     "commutator",
     "deformed_vacuum",
     "displacement_op",
@@ -497,6 +498,21 @@ def _squeeze_generator(ops: OperatorSet, z: SqueezeParam) -> OperatorMatrix:
     return np.conjugate(zc) * ops.pair_annihilator - zc * ops.pair_creator
 
 
+def check_displacement(ops: OperatorSet, amps: ModeAmplitudes, buffer: int) -> None:
+    """Refuse with PopulationOverflow a displacement whose mean ordinary
+    occupation |<a>|**2 + |<b>|**2 (the generator's a+ and b+ weights)
+    exceeds cutoff - buffer: its truncated exponential would reflect off
+    the cutoff, and a large enough one overflows its generator."""
+    row = _displacement_row(ops, amps)
+    # Python floats: the square overflows to inf, without a warning
+    mean = math.hypot(abs(row[1]), abs(row[3]))
+    if not mean * mean <= ops.space.cutoff - buffer:
+        raise PopulationOverflow(
+            f"the displaced state's mean occupation {mean * mean:.3e} exceeds "
+            f"cutoff {ops.space.cutoff} minus buffer {buffer}; increase the cutoff"
+        )
+
+
 def _refuse_large_squeeze(z: Optional[SqueezeParam]) -> None:
     if z is not None and z.r > DEFAULT_MAX_SQUEEZE:
         raise SqueezeTooLargeForCutoff(
@@ -657,15 +673,8 @@ def make_state(
     _refuse_large_squeeze(z)
     vec = ops.ground.vector
     if amps is not None and (amps.alpha != 0.0 or amps.beta != 0.0):
-        row = _displacement_row(ops, amps)
-        # Python floats: the square overflows to inf, without a warning
-        mean = math.hypot(abs(row[1]), abs(row[3]))
-        if not mean * mean <= space.cutoff - buffer:
-            raise PopulationOverflow(
-                f"the displaced state's mean occupation {mean * mean:.3e} exceeds "
-                f"cutoff {space.cutoff} minus buffer {buffer}; increase the cutoff"
-            )
-        vec = expm_multiply(_from_coefficients(space, row), vec)
+        check_displacement(ops, amps, buffer)
+        vec = expm_multiply(_displacement_generator(ops, amps), vec)
     return _squeeze_and_guard(ops, vec, z, buffer, tail_tol)
 
 

@@ -47,6 +47,7 @@ from .fock import (
     _squeeze_generator,
     build_operator_set,
     check_buffer,
+    check_displacement,
     commutator,
     expectation_and_variance,
     make_space,
@@ -86,6 +87,9 @@ MC_MAX_SAMPLES = 10_000_000
 # Samples per chunk of the Monte Carlo.  It fixes the random stream: chunk
 # k is standard_normal((4, n_k)) from the call's generator.
 _MC_CHUNK = 1 << 15
+# Samples per block: the arithmetic runs on buffers of this many columns,
+# reused for every block, so the working set stays in L2.
+_MC_BLOCK = 1 << 12
 # Index pairs (i <= j) of the quadratic features g_i g_j.
 _MC_PAIRS = np.triu_indices(4)
 
@@ -286,7 +290,9 @@ def identity_suite(
     the eigenvalue relations are crosscheck_suite's.  Refuses a buffer
     outside [0, cutoff] with BufferOutOfRange, and a squeeze beyond
     make_state's bound with SqueezeTooLargeForCutoff, before computing
-    anything.
+    anything; refuses a displacement whose mean occupation exceeds the
+    cutoff with make_state's PopulationOverflow before building its
+    generator.
     """
     params, space = ops.params, ops.space
     check_buffer(space, buffer)
@@ -299,6 +305,9 @@ def identity_suite(
     ]
 
     lam_a, lam_b = analytic.coherent_eigenvalues(params, amps)
+    # the suite builds no state, so it refuses only a displacement the
+    # cutoff itself cannot hold, before its generator can overflow
+    check_displacement(ops, amps, 0)
     gen = _displacement_generator(ops, amps)
     eye = _identity(space)
     reports.append(
@@ -437,17 +446,21 @@ def overcompleteness_mc(
     the reference) is unchanged.  No squeeze is the squeezed family at
     r = 0.
 
-    All probes of a call share one stream of draws from
-    default_rng(seed), taken in chunks of _MC_CHUNK samples, so a probe's
-    result does not depend on the other probes or their order.  The log
-    of each probe's integrand is a quadratic form in the four real draws
+    All probes of a call share one stream of draws from default_rng(seed):
+    chunk k is standard_normal((4, n_k)), n_k <= _MC_CHUNK, so the chunk
+    fixes the stream, and a probe's result does not depend on the other
+    probes or their order.  The arithmetic runs on blocks of _MC_BLOCK
+    columns of each chunk, in buffers allocated once per call.  The log of
+    each probe's integrand is a quadratic form in the four real draws
     (analytic._identity_integrand_coefficients), so one GEMM of the
-    stacked coefficients against the chunk's 15 features (1, g_i,
-    g_i g_j) gives every probe's log-integrand, and each sample then
-    costs one real exp and one cos and sin per probe.  The chunk means
-    and sums of squared deviations are merged as they come (Chan et al.'s
-    pairwise update), so memory grows with the chunk and the probe count,
-    not with the samples.  More than MC_MAX_SAMPLES samples are refused
+    stacked coefficients against the block's 15 features (1, g_i,
+    g_i g_j) gives every probe's log-integrand.  Each sample then costs
+    one real exp per probe, and one cos and sin per probe whose integrand
+    has a phase: with psi1 == psi2 log F is real, and the estimate's
+    imaginary part is exactly 0.  The block means and sums of squared
+    deviations are merged as they come (Chan et al.'s pairwise update),
+    so memory is one chunk of draws and the block buffers, whatever the
+    sample count.  More than MC_MAX_SAMPLES samples are refused
     with SamplesTooMany.
     """
     theta = params.theta
@@ -473,48 +486,72 @@ def overcompleteness_mc(
         pairs = (2.0 * quad.real - np.diag(quad.real.diagonal()))[_MC_PAIRS]
         rows.append(np.concatenate([[c], w, pairs]))
     table = np.array(rows)
-    # real rows, then imaginary rows: one GEMM gives log F of every probe
-    weights = np.vstack([table.real, table.imag])
     count = len(probes)
+    # psi1 == psi2 makes log F exactly real, so only the other probes
+    # have a phase and need cos and sin
+    phased = np.flatnonzero(np.any(table.imag != 0, axis=1))
+    # real rows, then the phased probes' imaginary rows: one GEMM gives
+    # log F of every probe
+    weights = np.vstack([table.real, table.imag[phased]])
 
-    rng = np.random.default_rng(seed)
-    mean = np.zeros((2, count))
-    sq_dev = np.zeros(count)
+    # running means and squared deviations of the rows of F: the real
+    # parts, then the phased probes' imaginary parts
+    mean = np.zeros(len(weights))
+    sq_dev = np.zeros(len(weights))
     sum_abs = np.zeros(count)
     sum_sq = np.zeros(count)
+    # one chunk of draws, and the buffers every block reuses; the
+    # features are the rows 1, g_i, g_i g_j
+    draw_buf = np.empty(4 * min(_MC_CHUNK, samples))
+    features = np.empty((15, _MC_BLOCK))
+    features[0] = 1.0
+    log_buf = np.empty((len(weights), _MC_BLOCK))
+    cos_buf = np.empty((len(phased), _MC_BLOCK))
+    rng = np.random.default_rng(seed)
     for start in range(0, samples, _MC_CHUNK):
-        n = min(_MC_CHUNK, samples - start)
-        # rows 1, g_i, g_i g_j; drawing into rows 1..4 is the same stream
-        # as standard_normal((4, n))
-        features = np.empty((15, n))
-        features[0] = 1.0
-        g = features[1:5]
-        rng.standard_normal(out=g)
-        np.multiply(g[_MC_PAIRS[0]], g[_MC_PAIRS[1]], out=features[5:])
-        log_f = weights @ features
-        magnitude, phase = log_f[:count], log_f[count:]
-        np.exp(magnitude, out=magnitude)
-        sum_abs += magnitude.sum(axis=1)
-        sum_sq += np.einsum("pi,pi->p", magnitude, magnitude)
-        # overwrite log_f with the real and imaginary parts of F
-        cosine = np.cos(phase)
-        np.sin(phase, out=phase)
-        phase *= magnitude
-        magnitude *= cosine
-        parts = log_f.reshape(2, count, n)
+        size = min(_MC_CHUNK, samples - start)
+        # filling a contiguous (4, size) array is standard_normal((4, size))
+        draws = draw_buf[:4 * size].reshape(4, size)
+        rng.standard_normal(out=draws)
+        for lo in range(0, size, _MC_BLOCK):
+            n = min(_MC_BLOCK, size - lo)
+            feat = features[:, :n]
+            g = feat[1:5]
+            g[...] = draws[:, lo:lo + n]
+            row = 5
+            for i in range(4):
+                np.multiply(g[i], g[i:], out=feat[row:row + 4 - i])
+                row += 4 - i
+            log_f = np.matmul(weights, feat, out=log_buf[:, :n])
+            magnitude, phase = log_f[:count], log_f[count:]
+            np.exp(magnitude, out=magnitude)
+            sum_abs += magnitude.sum(axis=1)
+            sum_sq += np.einsum("pi,pi->p", magnitude, magnitude)
+            # overwrite log_f with the real and imaginary parts of F
+            cosine = np.cos(phase, out=cos_buf[:, :n])
+            np.sin(phase, out=phase)
+            for k, index in enumerate(phased):
+                phase[k] *= magnitude[index]
+                magnitude[index] *= cosine[k]
 
-        # merge the chunk's mean and squared deviations (Chan et al.)
-        chunk_mean = parts.mean(axis=2)
-        parts -= chunk_mean[:, :, None]
-        delta = chunk_mean - mean
-        mean += delta * (n / (start + n))
-        sq_dev += np.einsum("kpi,kpi->p", parts, parts)
-        sq_dev += np.einsum("kp,kp->p", delta, delta) * (start * n / (start + n))
+            # merge the block's means and squared deviations (Chan et al.)
+            block_mean = log_f.mean(axis=1)
+            log_f -= block_mean[:, None]
+            seen = start + lo
+            delta = block_mean - mean
+            mean += delta * (n / (seen + n))
+            sq_dev += np.einsum("pi,pi->p", log_f, log_f)
+            sq_dev += delta * delta * (seen * n / (seen + n))
+
+    estimate_im = np.zeros(count)
+    estimate_im[phased] = mean[count:]
+    spread = sq_dev[:count]
+    spread[phased] += sq_dev[count:]
 
     reports: List[McReport] = []
     for index, (psi1, psi2) in enumerate(probes):
-        estimate = complex(mean[0, index], mean[1, index])
-        stderr = float(math.sqrt(sq_dev[index] / (samples - 1) / samples))
+        estimate = complex(mean[index], estimate_im[index])
+        stderr = float(math.sqrt(spread[index] / (samples - 1) / samples))
         reference = analytic.coherent_overlap(params, psi1, psi2)
         diff = abs(estimate - reference)
         if stderr == 0.0:

@@ -271,6 +271,8 @@ def test_check_buffer_out_of_range_exits_two(capsys, monkeypatch, buffer):
     # unrefused, the exponential's step count would grow with |alpha|
     ["--mu", "0.5", "--nu", "0.5", "--alpha=1e4"],
     ["--mu", "0.5", "--nu", "0.5", "--alpha=1e200"],
+    # unrefused, the generator's entries would overflow
+    ["--mu", "0.5", "--nu", "0.5", "--alpha=1.7e308"],
 ])
 def test_check_refuses_a_displacement_beyond_the_cutoff(capsys, argv):
     with warnings.catch_warnings():

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from ncsq.fock import (
 )
 from ncsq.verifier import (
     MC_MAX_SAMPLES,
+    _MC_BLOCK,
     _MC_CHUNK,
     _commutator_residual,
     _safe_block_max,
@@ -297,6 +299,15 @@ def test_identity_suite_reports_at_the_buffer_range_edges(space12):
         assert {r.check_id for r in reports} == IDENTITY_IDS
 
 
+def test_identity_suite_refuses_a_displacement_the_cutoff_cannot_hold(space12):
+    # unrefused, the generator's entries overflow with RuntimeWarnings
+    ops = build_operator_set(P05, space12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PopulationOverflow, match="mean occupation inf exceeds cutoff 12"):
+            identity_suite(ops, ModeAmplitudes(1.7e308, 0.0), SqueezeParam(0.1, 0.0))
+
+
 def test_safe_block_max_refuses_an_empty_block(space12):
     ops = build_operator_set(P05, space12)
     assert _safe_block_max(space12, ops.a_def, space12.cutoff) == 0.0
@@ -505,20 +516,27 @@ def _three_exp_mc(params, probes, samples, seed, z=None):
     return out
 
 
+# the diagonal probe has a real integrand, so it takes the path without
+# cos and sin
 MC_ORACLE_PROBES = [(PROBE, ModeAmplitudes(0.5, 0.5)),
-                    (ModeAmplitudes(0.5, 0.5), ModeAmplitudes(-0.5, 0.3j))]
+                    (ModeAmplitudes(0.5, 0.5), ModeAmplitudes(-0.5, 0.3j)),
+                    (PROBE, PROBE)]
 
 
-@pytest.mark.parametrize("samples", [1000, _MC_CHUNK - 1, _MC_CHUNK + 1, 5 * _MC_CHUNK // 2])
+@pytest.mark.parametrize("samples", [1000, _MC_BLOCK - 1, _MC_BLOCK + 1, _MC_CHUNK - 1,
+                                     _MC_CHUNK + 1, _MC_CHUNK + _MC_BLOCK // 2,
+                                     5 * _MC_CHUNK // 2])
 @pytest.mark.parametrize("theta", [0.3, 0.6, 0.9])
 def test_mc_fused_integrand_matches_three_exp_oracle(theta, samples):
     p = make_params(theta, theta, 1.0)
     for z in (None, SqueezeParam(0.3, 0.8)):
         got = overcompleteness_mc(p, MC_ORACLE_PROBES, samples, 11, z=z)
         want = _three_exp_mc(p, MC_ORACLE_PROBES, samples, 11, z=z)
-        for rep, (estimate, stderr) in zip(got, want):
+        for rep, (estimate, stderr), (psi1, psi2) in zip(got, want, MC_ORACLE_PROBES):
             assert abs(rep.estimate - estimate) <= 1e-12 * abs(estimate)
             assert abs(rep.stderr - stderr) <= 1e-12 * stderr
+            if psi1 == psi2:
+                assert rep.estimate.imag == 0.0
 
 
 _AMP = st.floats(-1.5, 1.5)
@@ -590,8 +608,9 @@ def test_mc_probe_does_not_depend_on_the_other_probes(z):
 
 
 def test_mc_memory_does_not_grow_with_the_samples():
-    # the draws are streamed, so the call holds a few chunks; drawing the
-    # whole (4, samples) array and the integrand values peaks above 50 MB
+    # the draws are streamed, so the call holds one chunk of draws and the
+    # block buffers; drawing the whole (4, samples) array and the
+    # integrand values peaks above 50 MB
     p = make_params(0.5, 0.5, 1.0)
     tracemalloc.start()
     try:
@@ -600,6 +619,22 @@ def test_mc_memory_does_not_grow_with_the_samples():
     finally:
         tracemalloc.stop()
     assert peak < 24e6, peak
+
+
+def test_mc_arithmetic_runs_in_fixed_block_buffers():
+    # one chunk of draws (1 MB) and buffers of _MC_BLOCK columns: no
+    # temporary grows with the chunk times the probe count
+    p = make_params(0.5, 0.5, 1.0)
+    tracemalloc.start()
+    try:
+        reports = overcompleteness_mc(p, MC_FIVE_PROBES, 1_000_000, 42)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, peak
+    for rep, (psi1, psi2) in zip(reports, MC_FIVE_PROBES):
+        if psi1 == psi2:
+            assert rep.estimate.imag == 0.0
 
 
 @settings(max_examples=60, deadline=None)
