@@ -13,18 +13,21 @@ linear operator is one coefficient times one ladder weight per entry.
 Generators are at most quadratic in the ladder, so their products and
 commutators stay a handful of bands, and every operation (product,
 adjoint, sum, matrix-vector product, 1-norm) is a few numpy slices per
-band.  The verifier reads its commutator identities, such as one
-annihilator's image [G, m] under the squeeze generator G, from these
-bands directly.  States are built by
-exponential-times-vector products: expm_multiply, a truncated Taylor
-series applied to one vector, whose degree and step count come from the
-generator's exact 1-norm.  The deformed vacuum is the first: exp(Q)|0,0>
-with Q quadratic in the ordinary creators only, its 2x2 pair matrix from
-one solve in the ladder coefficients of a_def and b_def and closed by that
-matrix's symmetry.  A squeezed state is its coherent state squeezed, so
-callers that need both build the coherent state once; every state
-function takes its params and space from one OperatorSet.  The
-module imports numpy only.  The one dense dim x dim matrix is the unitary
+band.  A commutator [L, R] is produced one output band at a time
+(_commutator_bands): its band at offset o sums the band pairs p + q = o
+of LR and of RL, with no product operator formed.  The verifier takes
+each commutator identity, such as one annihilator's image [G, m] under
+the squeeze generator G, from these bands one at a time, subtracting the
+expected band and reading its safe-block max before the next.  States
+are built by exponential-times-vector products: expm_multiply, a
+truncated Taylor series applied to one vector, whose degree and step
+count come from the generator's exact 1-norm.  The deformed vacuum is
+the first: exp(Q)|0,0> with Q quadratic in the ordinary creators only,
+its 2x2 pair matrix from one solve in the ladder coefficients of a_def
+and b_def and closed by that matrix's symmetry.  A squeezed state is its
+coherent state squeezed, so callers that need both build the coherent
+state once; every state function takes its params and space from one
+OperatorSet.  The module imports numpy only.  The one dense dim x dim matrix is the unitary
 of displacement_op, about 45 MB at cutoff 40, which the tests and the
 benchmark's displacement probe still conjugate; it is the package's only
 user of scipy, whose scipy.linalg it imports inside its body.
@@ -328,8 +331,41 @@ def _identity(space: FockSpace) -> OperatorMatrix:
     return OperatorMatrix(space, (0,), np.ones((1, space.dim), dtype=np.complex128))
 
 
+def _commutator_bands(left: OperatorMatrix, right: OperatorMatrix):
+    """[left, right] one output offset o at a time, in ascending order, as
+    (o, band) with band a new dim-entry array.
+
+    (LR)_o and (RL)_o are each accumulated over the band pairs with
+    p + q = o in the order _product visits them, and then subtracted, so
+    every entry equals that of left @ right - right @ left, up to the sign
+    of a zero; no product operator is formed.  Offsets with |o| >= dim are
+    skipped, as _product skips them.
+    """
+    _check_same_space(left.space, right.space)
+    dim = left.space.dim
+    left_bands, right_bands = (dict(zip(op.offsets, op.bands)) for op in (left, right))
+    # scratch for one band pair's term, and for (RL)_o
+    term = np.empty(dim, dtype=np.complex128)
+    reverse = np.empty(dim, dtype=np.complex128)
+
+    def accumulate(acc: np.ndarray, a: OperatorMatrix, b_bands: dict, o: int) -> np.ndarray:
+        """acc += (ab)_o: a[i, i + p] b[i + p, i + o] over p in a's order."""
+        for p, (rows, cols, entries) in zip(a.offsets, a._diagonals):
+            band = b_bands.get(o - p)
+            if band is not None:
+                acc[rows] += np.multiply(entries, band[cols], out=term[rows])
+        return acc
+
+    for o in sorted({p + q for p in left.offsets for q in right.offsets if abs(p + q) < dim}):
+        reverse.fill(0.0)
+        band = accumulate(np.zeros(dim, dtype=np.complex128), left, right_bands, o)
+        band -= accumulate(reverse, right, left_bands, o)
+        yield o, band
+
+
 def commutator(left: OperatorMatrix, right: OperatorMatrix) -> OperatorMatrix:
-    return left @ right - right @ left
+    """[left, right], merged from _commutator_bands."""
+    return _merged(left.space, _commutator_bands(left, right))
 
 
 @dataclass(frozen=True, eq=False)

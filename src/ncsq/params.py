@@ -84,11 +84,23 @@ class NcParams:
 
 def classify_constraint(params: NcParams) -> ConstraintClass:
     """Classify mu*nu against hbar**2 with a 1e-12 relative saturation band."""
-    return _classify(params.mu, params.nu, params.hbar)
+    return _classify(_ratio(params.mu, params.nu, params.hbar))
 
 
-def _classify(mu: float, nu: float, hbar: float) -> ConstraintClass:
-    ratio = (mu * nu) / (hbar * hbar)
+def _ratio(mu: float, nu: float, hbar: float) -> float:
+    """mu*nu/hbar**2 as (mu/hbar)*(nu/hbar), which neither overflows nor
+    underflows when the three scales are large or small together (and is
+    mu*nu exactly at hbar = 1).  Raises NonFinite when the ratio itself
+    overflows."""
+    ratio = (mu / hbar) * (nu / hbar)
+    if not math.isfinite(ratio):
+        raise NonFinite(
+            f"mu*nu/hbar**2 overflows for mu={mu!r}, nu={nu!r}, hbar={hbar!r}"
+        )
+    return ratio
+
+
+def _classify(ratio: float) -> ConstraintClass:
     if abs(ratio - 1.0) <= SATURATION_RTOL:
         return ConstraintClass.SATURATED
     if ratio < 1.0:
@@ -102,7 +114,7 @@ def make_params(mu: float, nu: float, hbar: float = 1.0) -> NcParams:
     Raises
     ------
     NonFinite
-        If any input is NaN or infinite.
+        If any input is NaN or infinite, or mu*nu/hbar**2 overflows.
     NonPositiveParameter
         If any input is zero or negative.
     """
@@ -111,8 +123,8 @@ def make_params(mu: float, nu: float, hbar: float = 1.0) -> NcParams:
     nu = float(nu)
     hbar = float(hbar)
 
-    theta = math.sqrt(mu * nu) / hbar
-    ratio = (mu * nu) / (hbar * hbar)
+    ratio = _ratio(mu, nu, hbar)
+    theta = math.sqrt(ratio)
 
     kappa: Optional[float]
     lambda_denom: Optional[float]
@@ -130,7 +142,7 @@ def make_params(mu: float, nu: float, hbar: float = 1.0) -> NcParams:
         theta=theta,
         kappa=kappa,
         lambda_denom=lambda_denom,
-        constraint_class=_classify(mu, nu, hbar),
+        constraint_class=_classify(ratio),
     )
 
 

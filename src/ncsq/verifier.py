@@ -24,6 +24,7 @@ probe's result does not depend on the other probes or their order.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,21 +40,22 @@ from .fock import (
     OperatorSet,
     SpaceMismatch,
     _adjoint,
+    _commutator_bands,
     _displacement_generator,
     _from_coefficients,
     _identity,
     _refuse_large_squeeze,
+    _slices,
     _squeeze_and_guard,
     _squeeze_generator,
     build_operator_set,
     check_buffer,
     check_displacement,
-    commutator,
     expectation_and_variance,
     make_space,
     make_state,
 )
-from .params import NcParams
+from .params import NcParams, NonFinite
 
 __all__ = [
     "COMMUTATOR_TOL",
@@ -180,11 +182,19 @@ def _safe_mask(space: FockSpace, buffer: int) -> np.ndarray:
     return space.n_tot <= space.cutoff - buffer
 
 
+def _bands_safe_max(safe: np.ndarray, bands) -> float:
+    """Max magnitude over the (offset, band) pairs' entries whose row and
+    column are both safe; a NaN in any band reads NaN."""
+    worst = 0.0
+    for offset, band in bands:
+        rows, cols = _slices(offset, safe.size)
+        worst = np.maximum(worst, np.abs(band[rows][safe[rows] & safe[cols]]).max(initial=0.0))
+    return float(worst)
+
+
 def _safe_block_max(space: FockSpace, op: OperatorMatrix, buffer: int) -> float:
     """Max magnitude over entries whose row and column are both safe."""
-    safe = _safe_mask(space, buffer)
-    return max((float(np.abs(entries[safe[rows] & safe[cols]]).max(initial=0.0))
-                for rows, cols, entries in op._diagonals), default=0.0)
+    return _bands_safe_max(_safe_mask(space, buffer), zip(op.offsets, op.bands))
 
 
 _QUADRATURE_NAMES = ("dx2", "dy2", "dpx2", "dpy2", "dX2", "dP2")
@@ -200,8 +210,21 @@ def _quadratures(ops: OperatorSet) -> Dict[str, OperatorMatrix]:
 def _commutator_residual(
     left: OperatorMatrix, right: OperatorMatrix, want: OperatorMatrix, buffer: int
 ) -> float:
-    """Safe-block max of [left, right] - want."""
-    return _safe_block_max(left.space, commutator(left, right) - want, buffer)
+    """Safe-block max of [left, right] - want, taken one output band at a
+    time: want's band at each offset is subtracted from the commutator's,
+    and the difference dropped before the next band, so no product,
+    commutator or difference operator is formed."""
+    wants = dict(zip(want.offsets, want.bands))
+
+    def differences():
+        for offset, band in _commutator_bands(left, right):
+            if offset in wants:
+                band -= wants.pop(offset)
+            yield offset, band
+        # want's offsets that the commutator lacks
+        yield from wants.items()
+
+    return _bands_safe_max(_safe_mask(left.space, buffer), differences())
 
 
 def algebra_residuals(
@@ -287,7 +310,9 @@ def identity_suite(
     the flow of one annihilator's image [G, m] under the squeeze generator
     G, so it is checked as that commutator against squeeze_commutators, on
     the safe block, for m = a_def and b_def.  The suite builds no state:
-    the eigenvalue relations are crosscheck_suite's.  Refuses a buffer
+    the eigenvalue relations are crosscheck_suite's.  Every residual is
+    taken one output band of its commutator at a time, so the suite forms
+    no product or commutator operator.  Refuses a buffer
     outside [0, cutoff] with BufferOutOfRange, and a squeeze beyond
     make_state's bound with SqueezeTooLargeForCutoff, before computing
     anything; refuses a displacement whose mean occupation exceeds the
@@ -461,7 +486,9 @@ def overcompleteness_mc(
     deviations are merged as they come (Chan et al.'s pairwise update),
     so memory is one chunk of draws and the block buffers, whatever the
     sample count.  More than MC_MAX_SAMPLES samples are refused
-    with SamplesTooMany.
+    with SamplesTooMany, and a probe whose integrand coefficients are not
+    finite (an amplitude near the square root of the largest float) with
+    NonFinite, before any draw.
     """
     theta = params.theta
     if theta >= 1.0:
@@ -480,8 +507,16 @@ def overcompleteness_mc(
 
     r, phi = (0.0, 0.0) if z is None else (z.r, z.phi)
     rows = []
-    for psi1, psi2 in probes:
-        c, w, quad = analytic._identity_integrand_coefficients(theta, psi1, psi2, r, phi)
+    for index, (psi1, psi2) in enumerate(probes):
+        # an amplitude near sqrt of the largest float overflows the
+        # exponents: refuse it here, before any draw and with no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            c, w, quad = analytic._identity_integrand_coefficients(theta, psi1, psi2, r, phi)
+        if not (cmath.isfinite(c) and np.isfinite(w).all() and np.isfinite(quad).all()):
+            raise NonFinite(
+                f"probe {index}: its integrand's coefficients are not finite "
+                f"(amplitudes {psi1.alpha}, {psi1.beta}, {psi2.alpha}, {psi2.beta})"
+            )
         # g.Q.g counts each off-diagonal pair twice
         pairs = (2.0 * quad.real - np.diag(quad.real.diagonal()))[_MC_PAIRS]
         rows.append(np.concatenate([[c], w, pairs]))

@@ -104,6 +104,19 @@ def test_params_natural_flag_forces_units(capsys):
     assert doc["result"]["kappa"] == 0.5
 
 
+def test_params_at_a_large_common_scale_is_saturated(capsys):
+    code, doc = run_json(capsys, ["params", "--mu", "1e200", "--nu", "1e200",
+                                  "--hbar", "1e200"])
+    assert code == 0
+    assert doc["params"]["theta"] == 1.0
+    assert doc["result"]["constraint_class"] == "saturated"
+
+
+def test_params_refuses_an_overflowing_ratio(capsys):
+    assert run(["params", "--mu", "1e308", "--nu", "1e308", "--hbar", "1e-308"]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_params_rejects_nonpositive(capsys):
     assert run(["params", "--mu", "-1"]) == 2
     assert run(["params", "--nu", "0"]) == 2
@@ -282,6 +295,17 @@ def test_check_refuses_a_displacement_beyond_the_cutoff(capsys, argv):
     assert "mean occupation" in capsys.readouterr().err
 
 
+def test_check_at_a_small_common_scale(capsys):
+    # hbar*hbar underflows to zero here; theta is sqrt(1/2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, header, rows = run_ndjson(
+            capsys, ["check", "--mu", "1e-200", "--nu", "5e-201", "--hbar", "1e-200"])
+    assert code == 0
+    assert header["params"]["theta"] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert all(row["passed"] for row in rows)
+
+
 def test_check_bad_cutoff_exits_two(capsys):
     assert run(["check", "--mu", "0.5", "--nu", "0.5", "--cutoff", "0"]) == 2
     assert run(["check", "--mu", "0.5", "--nu", "0.5", "--cutoff", "999"]) == 2
@@ -324,6 +348,18 @@ def test_overcompleteness_guards(capsys):
     assert run(["overcompleteness", "--mu", "0.3", "--nu", "0.3",
                 "--samples", "10000001"]) == 2
     assert "10000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["1e160", "1e200"])
+def test_overcompleteness_refuses_an_overflowing_integrand(capsys, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["overcompleteness", "--mu", "0.5", "--nu", "0.5",
+                    "--samples", "1000", "--alpha", alpha])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
 
 
 def test_overcompleteness_refuses_a_negative_seed(capsys):

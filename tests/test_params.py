@@ -4,6 +4,8 @@ import decimal
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ulp_between
 from ncsq import (
@@ -93,6 +95,43 @@ def test_commutative_limit_by_underflow():
     assert p.kappa == 1.0
     assert p.lambda_denom == 1.0
     assert p.constraint_class is ConstraintClass.SUB_CRITICAL
+
+
+def test_scaled_inputs_neither_overflow_nor_underflow():
+    # mu*nu and hbar*hbar each overflow here, to theta inf before the ratio
+    # was formed as (mu/hbar)*(nu/hbar)
+    p = make_params(1e200, 1e200, 1e200)
+    assert p.theta == 1.0
+    assert p.constraint_class is ConstraintClass.SATURATED
+    # and each underflows here, to a ZeroDivisionError
+    p = make_params(1e-200, 5e-201, 1e-200)
+    assert ulp_between(p.theta, math.sqrt(0.5)) <= 2.0
+    assert p.constraint_class is ConstraintClass.SUB_CRITICAL
+
+
+def test_overflowing_ratio_is_refused():
+    with pytest.raises(NonFinite, match="overflows"):
+        make_params(1e308, 1e308, 1e-308)
+
+
+_SCALE = st.floats(1e-100, 1e100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu=_SCALE, nu=_SCALE, hbar=_SCALE, k=st.integers(-600, 600))
+def test_theta_and_class_invariant_under_power_of_two_scaling(mu, nu, hbar, k):
+    """Scaling all three by 2**k is exact in floats, so theta and the
+    class must not move; a point whose ratio overflows is refused at
+    every scale."""
+    def derive(*args):
+        try:
+            p = make_params(*args)
+        except NonFinite:
+            return None
+        return p.theta, p.constraint_class
+
+    scaled = [math.ldexp(v, k) for v in (mu, nu, hbar)]
+    assert derive(*scaled) == derive(mu, nu, hbar)
 
 
 def test_hbar_defaults_to_one():

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -20,6 +21,7 @@ from conftest import (
 from ncsq import (
     BufferOutOfRange,
     ModeAmplitudes,
+    NonFinite,
     SamplesTooFew,
     SamplesTooMany,
     SqueezeParam,
@@ -44,6 +46,7 @@ from ncsq.fock import (
     SqueezeTooLargeForCutoff,
     _displacement_generator,
     _identity,
+    _squeeze_generator,
 )
 from ncsq.verifier import (
     MC_MAX_SAMPLES,
@@ -325,6 +328,95 @@ def test_identity_reports_carry_context(space20):
 
 
 # ---------------------------------------------------------------------------
+# commutator residuals, one output band at a time
+
+
+def _product_route_residual(left, right, want, buffer):
+    """The residual through the product operators: [left, right] - want
+    formed whole, then its safe-block max."""
+    return _safe_block_max(left.space, (left @ right - right @ left) - want, buffer)
+
+
+def _kernel_operands(ops):
+    """Operators of every shape the residuals meet: linear (x, a_def, b_ord),
+    the displacement generator with and without bands, and the quadratic
+    squeeze generator and pair annihilator."""
+    z = SqueezeParam(0.3, 0.7)
+    return {
+        "x": ops.x,
+        "a_def": ops.a_def,
+        "b_ord": ops.b_ord,
+        "disp": _displacement_generator(ops, ModeAmplitudes(0.4, 0.3j)),
+        "disp0": _displacement_generator(ops, ModeAmplitudes(0.0, 0.0)),
+        "squeeze": _squeeze_generator(ops, z),
+        "pair": ops.pair_annihilator,
+    }
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 12])
+def test_commutator_residual_matches_the_dense_oracle_and_the_product_route(cutoff):
+    """Every pair of operands, against 0*I, lambda*I and a mode image (whose
+    offsets +-1 and +-(cutoff+1) the commutators of two linear operators
+    lack), at buffers 0, 1 and cutoff.  The banded residual equals the
+    product route's exactly, since it makes the same additions in the same
+    order, and the dense oracle's to rounding."""
+    space = make_space(cutoff)
+    ops = build_operator_set(make_params(0.7, 0.4, 1.0), space)
+    operands = _kernel_operands(ops)
+    assert operands["disp0"].offsets == ()
+    eye = _identity(space)
+    image = analytic.squeeze_commutators(ops.params, SqueezeParam(0.3, 0.7)).mode_a
+    wants = {"zero": 0.0 * eye, "lambda": (0.3 - 0.2j) * eye,
+             "image": verifier._mode_image(ops, image)}
+    dense = {name: op.matrix for name, op in {**operands, **wants}.items()}
+    for left, right in itertools.product(operands, repeat=2):
+        l_op, r_op = operands[left], operands[right]
+        got = fock.commutator(l_op, r_op)
+        via_products = l_op @ r_op - r_op @ l_op
+        assert got.offsets == via_products.offsets, (left, right)
+        assert np.array_equal(got.bands, via_products.bands), (left, right)
+        lr, rl = dense[left] @ dense[right], dense[right] @ dense[left]
+        for want, buffer in itertools.product(wants, (0, 1, cutoff)):
+            safe = space.n_tot <= cutoff - buffer
+            oracle = np.abs((lr - rl - dense[want])[np.ix_(safe, safe)]).max()
+            scale = max(1.0, np.abs(lr).max(), np.abs(rl).max(), np.abs(dense[want]).max())
+            case = (left, right, want, buffer)
+            residual = _commutator_residual(l_op, r_op, wants[want], buffer)
+            assert residual == _product_route_residual(l_op, r_op, wants[want], buffer), case
+            assert abs(residual - oracle) <= 1e-14 * scale, case
+
+
+def test_commutator_residual_forms_no_product_operator():
+    """At cutoff 200 a band is 0.65 MB; the product route's stacked
+    products and differences peak at 29 MB for [x, y] and 52 MB for
+    [G, a_def].  Band by band, the residual holds a few bands at once."""
+    ops = build_operator_set(P05, make_space(200))
+    z = SqueezeParam(0.3, math.pi / 4)
+    gen = _squeeze_generator(ops, z)
+    image = verifier._mode_image(ops, analytic.squeeze_commutators(P05, z).mode_a)
+    eye = _identity(ops.space)
+    for left, right, want in [(ops.x, ops.y, 1j * P05.mu * eye), (gen, ops.a_def, image)]:
+        tracemalloc.start()
+        try:
+            residual = _commutator_residual(left, right, want, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert residual < 1e-10
+        assert peak < 4e6, peak
+
+
+def test_safe_block_max_reads_a_nan_in_any_band(space12):
+    ops = build_operator_set(P05, space12)
+    for k in range(len(ops.x.offsets)):
+        bands = np.zeros_like(ops.x.bands)
+        # |1,1> and its neighbours on every offset of x are safe
+        bands[k, space12.index_of(1, 1)] = np.nan
+        op = fock.OperatorMatrix(space12, ops.x.offsets, bands)
+        assert math.isnan(_safe_block_max(space12, op, 0)), k
+
+
+# ---------------------------------------------------------------------------
 # state-level crosschecks
 
 
@@ -485,6 +577,18 @@ def test_mc_input_guards():
         overcompleteness_mc(P05, [(VAC, VAC)], 999, 1)
     with pytest.raises(SamplesTooMany, match="bounds the run time"):
         overcompleteness_mc(P05, [(VAC, VAC)], MC_MAX_SAMPLES + 1, 1)
+
+
+def test_mc_refuses_an_overflowing_integrand_before_any_draw(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("drew samples for a refused probe")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for amps in (ModeAmplitudes(1e160, 0.0), ModeAmplitudes(0.0, -1e200j)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="probe 1"):
+                overcompleteness_mc(P05, [(VAC, VAC), (VAC, amps)], 1000, 1)
 
 
 def _three_exp_mc(params, probes, samples, seed, z=None):
