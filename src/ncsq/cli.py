@@ -652,6 +652,7 @@ _USER_ERRORS = (
     verifier.ThetaAtOrAboveOne,
     verifier.SamplesTooFew,
     verifier.SamplesTooMany,
+    verifier.IntegrandUnderflow,
 )
 
 

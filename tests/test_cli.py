@@ -304,6 +304,23 @@ def test_check_at_a_small_common_scale(capsys):
     assert code == 0
     assert header["params"]["theta"] == pytest.approx(math.sqrt(0.5), rel=1e-15)
     assert all(row["passed"] for row in rows)
+    # read relative to the scales, these residuals sit at rounding error,
+    # not at the scales' size (1e-214 and below)
+    by_id = {row["check_id"]: row for row in rows}
+    for check_id in ("heisenberg_weyl", "two_mode_commutator", "variance[0]"):
+        assert 1e-20 < by_id[check_id]["residual"] < 1e-12
+
+
+@pytest.mark.parametrize("scale", ["1e-6", "1e-200"])
+def test_check_at_small_mu_and_nu_with_unit_hbar(capsys, scale):
+    # [x, px] = i hbar rounds at hbar's size, far above mu and nu here:
+    # each relation is read relative to its own scale, so all rows pass
+    code, _, rows = run_ndjson(capsys, ["check", "--mu", scale, "--nu", scale])
+    assert code == 0
+    by_id = {row["check_id"]: row for row in rows}
+    assert all(row["passed"] for row in rows)
+    for check_id in ("heisenberg_weyl", "two_mode_commutator"):
+        assert by_id[check_id]["residual"] < 1e-12
 
 
 def test_check_bad_cutoff_exits_two(capsys):
@@ -360,6 +377,18 @@ def test_overcompleteness_refuses_an_overflowing_integrand(capsys, alpha):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize("alpha", ["30", "1e100", "1e154"])
+def test_overcompleteness_refuses_an_underflowing_integrand(capsys, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["overcompleteness", "--mu", "0.5", "--nu", "0.5",
+                    "--samples", "1000", "--alpha", alpha])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "underflowed to 0" in captured.err
 
 
 def test_overcompleteness_refuses_a_negative_seed(capsys):

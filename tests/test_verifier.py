@@ -20,6 +20,7 @@ from conftest import (
 )
 from ncsq import (
     BufferOutOfRange,
+    IntegrandUnderflow,
     ModeAmplitudes,
     NonFinite,
     SamplesTooFew,
@@ -184,6 +185,41 @@ def test_identity_suite_without_squeeze(space20):
     assert {r.check_id for r in reports} == IDENTITY_IDS
     assert all(r.passed for r in reports)
     assert _eigenvalue_report(ops, amps).passed
+
+
+@pytest.mark.parametrize("mu, nu, hbar", [
+    (1e-200, 5e-201, 1e-200), (1e-6, 1e-6, 1.0), (1e-200, 1e-200, 1.0),
+    (1e-6, 1.0, 1.0), (1.0, 1e-6, 1.0), (1e-10, 1e-3, 1.0), (1e-3, 1e-3, 1e-2),
+    (0.5, 0.5, 1.0), (2.0, 3.0, 4.0)])
+def test_phase_plane_residuals_stay_at_rounding_across_scales(space30, mu, nu, hbar):
+    # each relation is read relative to its own size, so mixed scales
+    # (hbar 1 with tiny mu and nu, or mu far from nu) stay at rounding
+    ops = build_operator_set(make_params(mu, nu, hbar), space30)
+    resids = algebra_residuals(ops)
+    assert max(resids[k] for k in ("xy", "pxpy", "xpx", "ypy", "xpy", "ypx", "XP")) < 1e-12
+    # mu far from nu maps a unit displacement far past the cutoff, so the
+    # suite runs undisplaced
+    by_id = {r.check_id: r for r in
+             identity_suite(ops, ModeAmplitudes(0.0, 0.0), SqueezeParam(0.0, 0.0))}
+    for check_id in ("heisenberg_weyl", "two_mode_commutator"):
+        assert by_id[check_id].passed and by_id[check_id].residual < 1e-12
+
+
+@pytest.mark.parametrize("field", ["mu", "nu", "hbar"])
+def test_phase_plane_residuals_see_a_wrong_small_scale(space12, field):
+    # operators built for mu, nu, hbar ~ 1e-200, checked against a
+    # relation a third off: an absolute residual (~1e-200) would pass,
+    # the relative one reads the error at its own size
+    values = {"mu": 1e-200, "nu": 5e-201, "hbar": 1e-200}
+    ops = build_operator_set(make_params(**values), space12)
+    values[field] *= 1.5
+    wrong = dataclasses.replace(ops, params=make_params(**values))
+    resids = algebra_residuals(wrong)
+    key = {"mu": "xy", "nu": "pxpy", "hbar": "xpx"}[field]
+    assert resids[key] == pytest.approx(1.0 / 3.0, rel=1e-6)
+    assert not next(r for r in identity_suite(wrong, ModeAmplitudes(0.0, 0.0),
+                                               SqueezeParam(0.0, 0.0))
+                    if r.check_id == "heisenberg_weyl").passed
 
 
 def test_displacement_shift_matches_dense_conjugation(space20):
@@ -591,6 +627,35 @@ def test_mc_refuses_an_overflowing_integrand_before_any_draw(monkeypatch):
                 overcompleteness_mc(P05, [(VAC, VAC), (VAC, amps)], 1000, 1)
 
 
+def test_mc_refuses_a_probe_whose_squared_integrand_underflows():
+    # from amplitude 30 up |F|**2 underflows on every draw; 28 still reports
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (30.0, 1e100, 1e154):
+            far = (ModeAmplitudes(alpha, 0.0), VAC)
+            with pytest.raises(IntegrandUnderflow, match="probe 1"):
+                overcompleteness_mc(P05, [(VAC, VAC), far], 1000, 42)
+        near = overcompleteness_mc(P05, [(ModeAmplitudes(28.0, 0.0), VAC)], 1000, 42)[0]
+    assert near.stderr > 0.0
+    assert math.isfinite(near.z_score)
+    assert 1.0 <= near.ess <= near.samples
+
+
+def test_phase_factors_match_cos_and_sin():
+    rng = np.random.default_rng(3)
+    special = np.array([0.0, -0.0, math.pi, -math.pi, math.nan])
+    phases = np.concatenate([rng.uniform(-bound, bound, 200_000)
+                             for bound in (math.pi, 10.0, 1e3, 1e9)] + [special])
+    cosine, sine = verifier._phase_factors(phases.copy(), np.empty_like(phases))
+    for got, want in ((cosine, np.cos(phases)), (sine, np.sin(phases))):
+        # +-pi within the bound only: their last ulp depends on the tan
+        assert np.nanmax(np.abs(got - want)) <= 2.0 * 2.0**-52
+        # +-0 and NaN exactly, the sign of zero included
+        exact = [0, 1, 4]
+        assert np.array_equal(got[-5:][exact], want[-5:][exact], equal_nan=True)
+        assert np.array_equal(np.signbit(got[-5:][exact]), np.signbit(want[-5:][exact]))
+
+
 def _three_exp_mc(params, probes, samples, seed, z=None):
     """Estimates and stderrs from the integrand as a product of three
     exponentials over the whole sample array: two overlaps and the
@@ -621,10 +686,11 @@ def _three_exp_mc(params, probes, samples, seed, z=None):
 
 
 # the diagonal probe has a real integrand, so it takes the path without
-# cos and sin
+# phase factors; the last probe's phases reach |27|, wrapping past +-pi
 MC_ORACLE_PROBES = [(PROBE, ModeAmplitudes(0.5, 0.5)),
                     (ModeAmplitudes(0.5, 0.5), ModeAmplitudes(-0.5, 0.3j)),
-                    (PROBE, PROBE)]
+                    (PROBE, PROBE),
+                    (ModeAmplitudes(3.0, 0.5j), ModeAmplitudes(2.5j, 3.0))]
 
 
 @pytest.mark.parametrize("samples", [1000, _MC_BLOCK - 1, _MC_BLOCK + 1, _MC_CHUNK - 1,
