@@ -4,33 +4,28 @@ The Hilbert space is spanned by |n_a, n_b> with both occupations capped at
 ``cutoff``; index layout is row-major, i = n_a*(cutoff+1) + n_b.  The plane
 operators (x, y, px, py), the deformed pair (a_def, b_def), the ordinary
 pair and the displacement generator are exact linear combinations of the
-ordinary a, a+, b, b+, with coefficient 4-vectors from inverting the 4x4
-map that defines the ordinary modes in terms of the plane operators.
-Every operator is stored banded (OperatorMatrix): a tuple of diagonal
-offsets and one row of entries per offset.  The ladders sit at offsets
-+-1 and +-(cutoff+1); each space caches their weights once, and every
-linear operator is one coefficient times one ladder weight per entry.
-Generators are at most quadratic in the ladder, so their products and
-commutators stay a handful of bands, and every operation (product,
-adjoint, sum, matrix-vector product, 1-norm) is a few numpy slices per
-band.  A commutator [L, R] is produced one output band at a time
-(_commutator_bands): its band at offset o sums the band pairs p + q = o
-of LR and of RL, with no product operator formed.  The verifier takes
-each commutator identity, such as one annihilator's image [G, m] under
-the squeeze generator G, from these bands one at a time, subtracting the
-expected band and reading its safe-block max before the next.  States
-are built by exponential-times-vector products: expm_multiply, a
-truncated Taylor series applied to one vector, whose degree and step
-count come from the generator's exact 1-norm.  The deformed vacuum is
-the first: exp(Q)|0,0> with Q quadratic in the ordinary creators only,
-its 2x2 pair matrix from one solve in the ladder coefficients of a_def
-and b_def and closed by that matrix's symmetry.  A squeezed state is its
-coherent state squeezed, so callers that need both build the coherent
-state once; every state function takes its params and space from one
-OperatorSet.  The module imports numpy only.  The one dense dim x dim matrix is the unitary
-of displacement_op, about 45 MB at cutoff 40, which the tests and the
-benchmark's displacement probe still conjugate; it is the package's only
-user of scipy, whose scipy.linalg it imports inside its body.
+ordinary a, a+, b, b+ (taken at the deformed modes' scale), with
+coefficient 4-vectors from inverting the 4x4 map that defines the ordinary
+modes in terms of the plane operators.  Every operator is stored banded
+(OperatorMatrix): a tuple of diagonal offsets and one row of entries per
+offset.  The ladders sit at offsets +-1 and +-(cutoff+1); each space
+caches their weights once, and every linear operator is one coefficient
+times one ladder weight per entry.  Generators are at most quadratic in
+the ladder, so their products and commutators stay a handful of bands,
+and every operation (product, adjoint, sum, matrix-vector product) is a
+few numpy slices per band.  A commutator [L, R] is produced one output
+band at a time (_commutator_bands): its band at offset o sums the band
+pairs p + q = o of LR and of RL, with no product operator formed.  The
+verifier takes each commutator identity, such as one annihilator's image
+[G, m] under the squeeze generator G, from these bands one at a time,
+subtracting the expected band and reading its safe-block max before the
+next.  Every state S D |0_def> is a Gaussian fixed by two annihilators
+linear in the ladders, and make_state fills its amplitudes by recurrence
+from them; no exponential of a dim x dim operator is formed or applied.
+The module imports numpy only.  The one dense dim x dim matrix is the
+unitary of displacement_op, about 45 MB at cutoff 40, which the tests and
+the benchmark's displacement probe still conjugate; it is the package's
+only user of scipy, whose scipy.linalg it imports inside its body.
 
 Truncation is the only approximation.  Operator identities hold exactly on
 the subspace of total occupation <= cutoff - buffer; states are guarded by a
@@ -40,6 +35,7 @@ raises instead of returning garbage.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import numbers
@@ -72,7 +68,6 @@ __all__ = [
     "displacement_op",
     "expectation",
     "expectation_and_variance",
-    "expm_multiply",
     "make_space",
     "make_state",
     "safe_norm_fraction",
@@ -239,19 +234,6 @@ class OperatorMatrix:
             diagonals.append((rows, cols, band[rows]))
         return diagonals
 
-    def band(self, offset: int) -> np.ndarray:
-        """The band at this offset, zeros if none is stored."""
-        if offset in self.offsets:
-            return self.bands[self.offsets.index(offset)]
-        return np.zeros(self.space.dim, dtype=np.complex128)
-
-    def onenorm(self) -> float:
-        """The exact 1-norm: the largest absolute column sum."""
-        sums = np.zeros(self.space.dim)
-        for _, cols, entries in self._diagonals:
-            sums[cols] += np.abs(entries)
-        return float(sums.max())
-
     def dag(self) -> "OperatorMatrix":
         """Adjoint: the band at offset o becomes the conjugated band at -o,
         shifted by o, since M+[j, j - o] = conj(M[j - o, j])."""
@@ -378,12 +360,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalise the zero vector")
-        return StateVector(self.space, self.vector / n)
-
     def inner(self, other: "StateVector") -> complex:
         """<self|other>, conjugating this vector."""
         _check_same_space(self.space, other.space)
@@ -432,9 +408,11 @@ def _ladder_coefficients(params: NcParams) -> np.ndarray:
 
     The plane rows solve the 4x4 map that defines the ordinary modes in
     terms of the plane operators, with the quadratures of a and b on the
-    right; they are hermitised (an a+ weight is the conjugate of the a
-    weight) to kill rounding asymmetry.  a_def mixes x with px, b_def y with
-    py, with the quartic-root weights that make the pair dimensionless.
+    right, x-like ones times s = (mu/nu)**(1/4) and p-like ones over it, so
+    the deformed vacuum is near |0,0> at any mu/nu; they are hermitised (an
+    a+ weight is the conjugate of the a weight) to kill rounding asymmetry.
+    a_def mixes x with px, b_def y with py, with the quartic-root weights
+    that make the pair dimensionless.
     Requires strictly sub-critical parameters: beyond, the map is singular.
     """
     if (
@@ -457,9 +435,11 @@ def _ladder_coefficients(params: NcParams) -> np.ndarray:
             [params.nu / (2.0 * kappa * hbar), 0.0, 0.0, 1.0],
         ]
     )
-    # a + a+, (a - a+)/i, b + b+, (b - b+)/i over (a, a+, b, b+)
+    # s (a + a+), (a - a+)/(i s), s (b + b+), (b - b+)/(i s) over
+    # (a, a+, b, b+), built so rather than scaled afterwards; s = 1 at mu = nu
+    s = (params.mu / params.nu) ** 0.25
     quadratures = np.array(
-        [[1, 1, 0, 0], [-1j, 1j, 0, 0], [0, 0, 1, 1], [0, 0, -1j, 1j]]
+        [[s, s, 0, 0], [-1j / s, 1j / s, 0, 0], [0, 0, s, s], [0, 0, -1j / s, 1j / s]]
     )
     scale = math.sqrt(0.5 * hbar) * params.lambda_denom
     sol = np.linalg.solve(coeff, scale * quadratures)
@@ -499,11 +479,6 @@ class OperatorSet:
     def pair_creator(self) -> OperatorMatrix:
         return self.pair_annihilator.dag()
 
-    @functools.cached_property
-    def ground(self) -> StateVector:
-        """The joint null state of both deformed annihilators, cached."""
-        return deformed_vacuum(self)
-
 
 def build_operator_set(params: NcParams, space: FockSpace) -> OperatorSet:
     coeffs = _ladder_coefficients(params)
@@ -535,17 +510,19 @@ def _squeeze_generator(ops: OperatorSet, z: SqueezeParam) -> OperatorMatrix:
 
 
 def check_displacement(ops: OperatorSet, amps: ModeAmplitudes, buffer: int) -> None:
-    """Refuse with PopulationOverflow a displacement whose mean ordinary
-    occupation |<a>|**2 + |<b>|**2 (the generator's a+ and b+ weights)
-    exceeds cutoff - buffer: its truncated exponential would reflect off
-    the cutoff, and a large enough one overflows its generator."""
+    """Refuse with PopulationOverflow a displacement whose mean occupation
+    in the engine's basis, |<a>|**2 + |<b>|**2 over its ordinary modes
+    (the generator's a+ and b+ weights), exceeds cutoff - buffer: the
+    state cannot fit, and a large enough one overflows its generator, or
+    its amplitudes to NaN in make_state's recurrence."""
     row = _displacement_row(ops, amps)
     # Python floats: the square overflows to inf, without a warning
     mean = math.hypot(abs(row[1]), abs(row[3]))
     if not mean * mean <= ops.space.cutoff - buffer:
         raise PopulationOverflow(
-            f"the displaced state's mean occupation {mean * mean:.3e} exceeds "
-            f"cutoff {ops.space.cutoff} minus buffer {buffer}; increase the cutoff"
+            f"in the engine's basis, the displaced state's mean occupation "
+            f"{mean * mean:.3e} exceeds cutoff {ops.space.cutoff} minus buffer {buffer}; "
+            "increase the cutoff"
         )
 
 
@@ -575,8 +552,8 @@ def displacement_op(
     The only dense dim x dim array of the engine, and the package's only
     user of scipy, whose scipy.linalg.expm it imports here so that no
     other path loads scipy.
-    No state or check uses it (make_state applies the generator with
-    expm_multiply); the tests and the benchmark's displacement probe
+    No state or check uses it (make_state builds states from their
+    Gaussian data); the tests and the benchmark's displacement probe
     conjugate it, so it stays until that probe becomes a commutator
     residual (ROADMAP item 1).  Raises NonFinite on a non-finite generator
     or unitary.
@@ -594,90 +571,112 @@ def displacement_op(
     return _DenseUnitary(unitary)
 
 
-def deformed_vacuum(ops: OperatorSet) -> StateVector:
-    """The state annihilated by both deformed annihilators of ops.
+# [u.L, w.L] = u @ _J @ w for coefficient 4-vectors over L = (a, a+, b, b+),
+# from [a, a+] = [b, b+] = 1
+_J = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 
-    Write a_def and b_def as Ma (a, b) + Mc (a+, b+), with Ma and Mc the
-    2x2 annihilator and creator parts of their ladder coefficients.  The
-    joint null state is the Gaussian exp(Q)|0,0>, Q = a+^T L a+ / 2 over
-    the ordinary creators, with L = -Ma^-1 Mc from one 2x2 solve.  Such a
-    state exists exactly when L is symmetric, which is [a_def, b_def] = 0;
-    an asymmetry |L01 - L10| above 1e-10 raises SaturatedOrSuperCritical.
-    Q only raises the occupation, and exp(Q)|0,0> is one expm_multiply.
-    """
-    space = ops.space
-    # rows a_def, b_def over (a, a+, b, b+): annihilator columns 0 and 2
-    rows = ops.coeffs[4:]
-    lam = -np.linalg.solve(rows[:, [0, 2]], rows[:, [1, 3]])
-    asymmetry = float(abs(lam[0, 1] - lam[1, 0]))
+# The 16-node Gauss-Legendre rule on [0, 1], from the positive nodes of the
+# rule on [-1, 1] and their weights (Abramowitz and Stegun, table 25.4)
+_LEGENDRE_X = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_LEGENDRE_W = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
+_NODES = 0.5 * np.concatenate([1.0 - _LEGENDRE_X[::-1], 1.0 + _LEGENDRE_X])
+_WEIGHTS = 0.5 * np.concatenate([_LEGENDRE_W[::-1], _LEGENDRE_W])
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a stack of small ones: scaled by 2**-s until
+    every 1-norm is at most 1/2, a degree-18 Taylor polynomial (remainder
+    below 1e-22 relative), then squared s times."""
+    norm = float(np.abs(m).sum(axis=-2).max())
+    steps = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0.0 else 0
+    m = m / 2.0 ** steps
+    out = term = np.eye(m.shape[-1])
+    for k in range(1, 19):
+        term = term @ m / k
+        out = out + term
+    for _ in range(steps):
+        out = out @ out
+    return out
+
+
+def _pair_data(rows: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(L, l) of the state annihilated by rows . (a, a+, b, b+) - g.
+
+    With rows = Ma (a, b) + Mc (a+, b+), the state is
+    exp(a+^T L a+ / 2 + l . a+)|0,0> up to a factor, with L = -Ma^-1 Mc and
+    l = Ma^-1 g from one 2x2 solve.  It exists exactly when L is symmetric,
+    which is [rows_0, rows_1] = 0; an asymmetry |L01 - L10| above 1e-10
+    raises SaturatedOrSuperCritical.  rows may be a (..., 2, 4) stack."""
+    g = np.broadcast_to(np.asarray(g, dtype=np.complex128)[:, None], rows.shape[:-1] + (1,))
+    sol = np.linalg.solve(rows[..., [0, 2]], np.concatenate([-rows[..., [1, 3]], g], axis=-1))
+    pair, linear = sol[..., :2], sol[..., 2]
+    asymmetry = float(np.abs(pair[..., 0, 1] - pair[..., 1, 0]).max())
     if asymmetry > 1e-10:
         raise SaturatedOrSuperCritical(
             "no Gaussian null state: the pair matrix is not symmetric "
             f"(asymmetry {asymmetry:.3e})"
         )
-    adag = _from_coefficients(space, _UNIT[1])
-    bdag = _from_coefficients(space, _UNIT[3])
-    quad = (0.5 * lam[0, 0]) * (adag @ adag) + lam[0, 1] * (adag @ bdag) \
-        + (0.5 * lam[1, 1]) * (bdag @ bdag)
-    vac = expm_multiply(quad, basis_state(space, 0, 0).vector)
-    return StateVector(space, vac).normalized()
+    return pair, linear
 
 
-# Al-Mohy and Higham's theta_m for double precision: the largest 1-norm of
-# the (shifted) matrix for which m Taylor terms meet the unit roundoff.
-# m <= 30 from Higham and Al-Mohy, Acta Numerica 19 (2010), table A.3; the
-# rest from Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011), table 3.1.
-_TAYLOR_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
+def _gaussian_state(
+    space: FockSpace, rows: np.ndarray, g: np.ndarray, phase: float
+) -> StateVector:
+    """The unit state annihilated by rows . (a, a+, b, b+) - g, with this
+    phase on |0,0>.  a_j acts on it as (L a+ + l)_j, (L, l) from _pair_data,
+    so sqrt(n_j + 1) psi[n + e_j] = l_j psi[n] + sum_k L_jk sqrt(n_k) psi[n - e_k]
+    (Miatto and Quesada, Quantum 4, 366 (2020)): from psi[0, 0] = 1, along
+    n_b on the row n_a = 0 (j = b), then one row of n_a at a time (j = a)."""
+    pair, linear = _pair_data(rows, g)
+    cutoff = space.cutoff
+    root = np.sqrt(np.arange(cutoff + 1.0))
+    # the row n_a = 0 in Python complex arithmetic, one entry at a time
+    l_b, pair_bb, roots = complex(linear[1]), complex(pair[1, 1]), root.tolist()
+    first = [1.0, l_b]
+    for n in range(1, cutoff):
+        first.append((l_b * first[n] + pair_bb * roots[n] * first[n - 1]) / roots[n + 1])
+    psi = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    psi[0] = first
+    cross = pair[0, 1] * root[1:]
+    for n in range(cutoff):
+        row = linear[0] * psi[n]
+        row[1:] += cross * psi[n, :-1]
+        if n:
+            row += (pair[0, 0] * root[n]) * psi[n - 1]
+        psi[n + 1] = row / root[n + 1]
+    psi *= cmath.exp(1j * phase) / np.linalg.norm(psi)
+    return StateVector(space, psi.reshape(space.dim))
 
 
-def expm_multiply(matrix: OperatorMatrix, vector: np.ndarray) -> np.ndarray:
-    """exp(matrix) @ vector for a banded operator and a vector.
+def deformed_vacuum(ops: OperatorSet) -> StateVector:
+    """The unit state annihilated by a_def and b_def of ops, positive on
+    |0,0>; SaturatedOrSuperCritical when none exists (see _pair_data)."""
+    return _gaussian_state(ops.space, ops.coeffs[4:], np.zeros(2), 0.0)
 
-    The truncated Taylor algorithm of Al-Mohy and Higham (2011), algorithm
-    3.2: the matrix is shifted by its mean diagonal mu, the exponential of
-    the rest is taken in s steps of a degree-m Taylor polynomial, each step
-    stops early once two successive terms fall below the unit roundoff of
-    the partial sum (all in the max-norm), and exp(mu/s) is restored per
-    step.  (m, s) minimise m*s over the theta table, from the exact 1-norm
-    of the shifted matrix (its largest absolute column sum), so no norm
-    estimate is needed.  Raises NonFinite on a non-finite matrix.
-    """
-    mu = matrix.band(0).sum() / matrix.space.dim
-    if mu != 0.0:
-        matrix = matrix - mu * _identity(matrix.space)
-    norm = matrix.onenorm()
-    if not math.isfinite(norm):
-        raise NonFinite("matrix of the exponential has non-finite entries")
-    if norm == 0.0:
-        degree, steps = 0, 1
-    else:
-        degree, steps = min(
-            ((m, math.ceil(norm / theta)) for m, theta in _TAYLOR_THETA.items()),
-            key=lambda ms: ms[0] * ms[1],
-        )
-    eta = np.exp(mu / steps)
-    out = vector
-    for _ in range(steps):
-        term = out
-        c1 = np.abs(term).max()
-        for j in range(degree):
-            term = matrix @ term
-            term *= 1.0 / (steps * (j + 1))
-            c2 = np.abs(term).max()
-            out = out + term
-            if c1 + c2 <= 2.0 ** -53 * np.abs(out).max():
-                break
-            c1 = c2
-        out = eta * out
-    return out
+
+def _squeezed_rows(ops: OperatorSet, rows: np.ndarray, g: np.ndarray, z: SqueezeParam):
+    """(rows of S A S+, Im log(<0,0|S psi> / <0,0|psi>)) for the annihilators
+    A = rows . (a, a+, b, b+) - g of psi, S = exp(G), G = conj(z) a_def b_def
+    - z a_def+ b_def+.  [G, w.L] = (M w).L, with M from the rows of a_def and
+    b_def by [XY, W] = X[Y, W] + [X, W]Y, so S A S+ has rows @ exp(M)^T and
+    the same g.  d log <0,0|exp(tG) psi> / dt is G's normal-ordering
+    constant plus sum_ij A_ij (L_t + l_t l_t^T)_ij, A its a_i a_j part and
+    (L_t, l_t) from _pair_data at t, integrated by the 16-node rule."""
+    a_row, b_row = ops.coeffs[4:]
+    terms = ((np.conjugate(z.z), a_row, b_row), (-z.z, _adjoint(a_row), _adjoint(b_row)))
+    action = sum(c * (np.outer(x, y @ _J) + np.outer(y, x @ _J)) for c, x, y in terms)
+    constant = sum(c * (x[0] * y[1] + x[2] * y[3]) for c, x, y in terms)
+    lowering = sum(c * np.outer(x[[0, 2]], y[[0, 2]]) for c, x, y in terms)
+    flows = _expm(np.append(_NODES, 1.0)[:, None, None] * action)
+    stacked = rows @ flows.swapaxes(-1, -2)
+    pair, linear = _pair_data(stacked[:-1], g)
+    moments = pair + linear[:, :, None] * linear[:, None, :]
+    rate = constant + np.einsum("ij,tij->t", lowering, moments)
+    return stacked[-1], float((_WEIGHTS @ rate).imag)
 
 
 def make_state(
@@ -688,52 +687,44 @@ def make_state(
     buffer: int = DEFAULT_BUFFER,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> StateVector:
-    """Displaced, optionally squeezed state of the deformed pair of ops.
+    """The state S D |0_def> of the deformed pair of ops, with D the
+    displacement by amps and S the squeeze by z (so the squeeze acts last).
 
-    Pipeline: deformed vacuum, then the displacement, then the squeeze (so
-    the squeeze acts last), each unitary applied to the vector by
-    expm_multiply's truncated Taylor series rather than formed as a full
-    matrix exponential.
-    Refused before any exponential: a buffer outside [0, cutoff]
+    It is the Gaussian of _gaussian_state annihilated by a_def and b_def,
+    shifted by their c-number commutators g with the displacement generator
+    X, and carried through S by _squeezed_rows, with the phase of
+    <0,0|S D|0_def>: Im(c.d/2 + d^T L0 d/2) for D by Baker-Campbell-Hausdorff,
+    c and d the creator and annihilator parts of X and L0 the vacuum's L.
+    Refused before any amplitude: a buffer outside [0, cutoff]
     (BufferOutOfRange), r above DEFAULT_MAX_SQUEEZE (SqueezeTooLargeForCutoff),
-    and a displacement whose mean ordinary occupation |<a>|**2 + |<b>|**2
-    (the generator's a+ and b+ weights) exceeds cutoff - buffer
-    (PopulationOverflow): its truncated exponential would reflect off the
-    cutoff, unseen by the tail guard, in a step count that grows with it.
-    The result is normalised and guarded: if more than tail_tol of its
-    population sits within ``buffer`` quanta of the cutoff, the truncation
-    cannot be trusted and PopulationOverflow is raised.
+    and a displacement whose mean occupation in the engine's basis exceeds
+    cutoff - buffer (check_displacement's PopulationOverflow).  The result
+    is normalised and guarded: if more than tail_tol of its population
+    sits within ``buffer`` quanta of the cutoff, the truncation cannot be
+    trusted and PopulationOverflow is raised.
     """
     space = ops.space
     check_buffer(space, buffer)
     _refuse_large_squeeze(z)
-    vec = ops.ground.vector
+    rows = ops.coeffs[4:]
+    g = np.zeros(2, dtype=np.complex128)
+    phase = 0.0
     if amps is not None and (amps.alpha != 0.0 or amps.beta != 0.0):
         check_displacement(ops, amps, buffer)
-        vec = expm_multiply(_displacement_generator(ops, amps), vec)
-    return _squeeze_and_guard(ops, vec, z, buffer, tail_tol)
-
-
-def _squeeze_and_guard(
-    ops: OperatorSet,
-    vec: np.ndarray,
-    z: Optional[SqueezeParam],
-    buffer: int = DEFAULT_BUFFER,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> StateVector:
-    """The last steps of make_state: squeeze vec (when r > 0), normalise,
-    and raise PopulationOverflow if more than tail_tol of the population
-    lies within ``buffer`` quanta of the cutoff.  Callers that already hold
-    a displaced state squeeze it here rather than rebuild it; they refuse
-    r beyond DEFAULT_MAX_SQUEEZE first, as make_state does."""
+        row = _displacement_row(ops, amps)
+        g = rows @ _J @ row
+        vacuum_pair, _ = _pair_data(rows, np.zeros(2))
+        ann, cre = row[[0, 2]], row[[1, 3]]
+        phase = float((cre @ ann + ann @ vacuum_pair @ ann).imag) / 2.0
     if z is not None and z.r > 0.0:
-        vec = expm_multiply(_squeeze_generator(ops, z), vec)
-    out = StateVector(ops.space, vec).normalized()
+        rows, squeeze_phase = _squeezed_rows(ops, rows, g, z)
+        phase += squeeze_phase
+    out = _gaussian_state(space, rows, g, phase)
     leak = safe_norm_fraction(out, buffer=buffer)
-    if leak > tail_tol:
+    if not leak <= tail_tol:
         raise PopulationOverflow(
             f"{leak:.3e} of the population lies within {buffer} quanta of "
-            f"cutoff {out.space.cutoff}; increase the cutoff"
+            f"cutoff {space.cutoff}; increase the cutoff"
         )
     return out
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -116,7 +117,7 @@ def make_params(mu: float, nu: float, hbar: float = 1.0) -> NcParams:
     NonFinite
         If any input is NaN or infinite, or mu*nu/hbar**2 overflows.
     NonPositiveParameter
-        If any input is zero or negative.
+        If any input is zero, negative or (with a finite ratio) subnormal.
     """
     _validate(mu, nu, hbar)
     mu = float(mu)
@@ -124,6 +125,10 @@ def make_params(mu: float, nu: float, hbar: float = 1.0) -> NcParams:
     hbar = float(hbar)
 
     ratio = _ratio(mu, nu, hbar)
+    # a subnormal scale has lost digits, and so has every ratio built from it
+    for name, value in (("mu", mu), ("nu", nu), ("hbar", hbar)):
+        if value < sys.float_info.min:
+            raise NonPositiveParameter(f"{name}={value!r} is below the smallest normal float")
     theta = math.sqrt(ratio)
 
     kappa: Optional[float]

@@ -9,9 +9,8 @@ Three families of evidence that the two sides describe the same physics:
   safe subspace, where a single commutator is exact and a conjugation is
   not; they build no state;
 * state crosschecks, which build every state: the eigenvalue relations of
-  each coherent state (they cover the squeezed state too, because the
-  truncated squeeze is unitary), and overlaps and quadrature variances of
-  concrete states, engine versus closed form;
+  each coherent state, and overlaps and quadrature variances of concrete
+  states, engine versus closed form;
 * Monte-Carlo overcompleteness: the weighted coherent-state integral of
   the identity operator, sampled with a Gaussian importance density and
   compared against the closed-form overlap it must reproduce.
@@ -47,7 +46,6 @@ from .fock import (
     _identity,
     _refuse_large_squeeze,
     _slices,
-    _squeeze_and_guard,
     _squeeze_generator,
     build_operator_set,
     check_buffer,
@@ -398,11 +396,12 @@ def crosscheck_suite(
     m|coh> = lambda_m|coh> (m = a_def, b_def) of its coherent state at
     tolerance 1e-8, then the overlaps of the state against the deformed
     vacuum and the coherent state, and its six quadrature variances, at
-    relative tolerance 1e-6 against their closed forms.  The truncated
-    squeeze S is unitary, so S m S+ on S|coh> has the coherent state's
-    residual.  Each case's coherent state is built once, serves as the
-    bra, and is squeezed into the case's state, all under the tail guard
-    at the caller's buffer.  Refuses a buffer outside [0, cutoff]
+    relative tolerance 1e-6 against their closed forms.  Every state comes
+    from make_state, which takes its eigenvalues from the engine's own
+    commutators and its squeeze from the coefficient rows, not from these
+    closed forms.  Each case's coherent state is built once and serves as
+    the bra; a squeezed case builds its state too, all under the tail
+    guard at the caller's buffer.  Refuses a buffer outside [0, cutoff]
     (BufferOutOfRange), a squeeze beyond make_state's bound
     (SqueezeTooLargeForCutoff) and an ops built for other params or
     another cutoff (SpaceMismatch) before building anything.
@@ -440,7 +439,7 @@ def crosscheck_suite(
             want_vac = analytic.coherent_overlap(params, vac_amps, amps)
             want_self = analytic.coherent_overlap(params, amps, amps)
         else:
-            state = _squeeze_and_guard(ops, coherent.vector, z, buffer)
+            state = make_state(ops, amps, z, buffer=buffer)
             want_vac = analytic.squeezed_overlap(params, vac_amps, amps, z)
             want_self = analytic.squeezed_overlap(params, amps, amps, z)
         overlap_resid = max(
@@ -667,9 +666,11 @@ def convergence_probe(
     """Truncation-convergence check across increasing cutoffs.
 
     Tracks the six quadrature variances and the vacuum overlap of the same
-    state built at each cutoff, and reports the successive relative
-    differences.  A quantity passes when the differences shrink (tiny
-    floors forgiven) and the last one is below 1e-8.
+    state built at each cutoff, and reports the successive differences,
+    each relative to the later value (floored at the smallest normal
+    float, so a quantity of any scale is read against itself).  A quantity
+    passes when the differences shrink (tiny floors forgiven) and the last
+    one is below 1e-8.
     """
     if len(cutoffs) < 2:
         raise ValueError("need at least two cutoffs to measure convergence")
@@ -692,10 +693,7 @@ def convergence_probe(
 
     reports = []
     for name, values in tracked.items():
-        diffs = [
-            abs(b - a) / max(abs(b), 1e-30)
-            for a, b in zip(values[:-1], values[1:])
-        ]
+        diffs = [_relative_error(a, b) for a, b in zip(values[:-1], values[1:])]
         shrinking = all(
             later <= max(earlier, 1e-12)
             for earlier, later in zip(diffs[:-1], diffs[1:])

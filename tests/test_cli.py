@@ -311,6 +311,22 @@ def test_check_at_a_small_common_scale(capsys):
         assert 1e-20 < by_id[check_id]["residual"] < 1e-12
 
 
+def test_check_refuses_subnormal_scales(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["check", "--mu", "1e-320", "--nu", "5e-321", "--hbar", "1e-320"])
+    assert code == 2
+    assert "mu=1e-320 is below the smallest normal float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu, nu", [("0.1", "0.9"), ("1e-3", "10")])
+def test_check_passes_with_mu_far_from_nu(capsys, mu, nu):
+    # the number basis is expanded at the deformed modes' scale, so the
+    # deformed vacuum sits near |0,0> and the default cutoff holds it
+    code, _, rows = run_ndjson(capsys, ["check", "--mu", mu, "--nu", nu])
+    assert code == 0 and all(row["passed"] for row in rows)
+
+
 @pytest.mark.parametrize("scale", ["1e-6", "1e-200"])
 def test_check_at_small_mu_and_nu_with_unit_hbar(capsys, scale):
     # [x, px] = i hbar rounds at hbar's size, far above mu and nu here:

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,18 @@ def test_nonpositive_rejected(bad):
         make_params(1.0, bad, 1.0)
     with pytest.raises(NonPositiveParameter):
         make_params(1.0, 1.0, bad)
+
+
+@pytest.mark.parametrize("name", ["mu", "nu", "hbar"])
+def test_subnormal_scale_rejected(name):
+    # a subnormal input has lost digits: at 1e-320 theta would come out of
+    # a ratio with three significant digits
+    values = {"mu": 1e-200, "nu": 5e-201, "hbar": 1e-200}
+    make_params(**values)
+    make_params(sys.float_info.min, sys.float_info.min, sys.float_info.min)
+    values[name] = 5e-321
+    with pytest.raises(NonPositiveParameter, match=f"{name}=5e-321 is below the smallest normal"):
+        make_params(**values)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
