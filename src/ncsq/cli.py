@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import __version__, analytic, fock, verifier
 from .analytic import ModeAmplitudes, NegativeSqueeze, SqueezeParam
 from .params import ConstraintClass, NcParams, NonFinite, NonPositiveParameter, make_params
@@ -111,7 +113,9 @@ class RunReport:
     """Result of one CLI invocation, ready for serialization.
 
     Rows are pure functions of the command arguments (plus ``seed`` for
-    stochastic commands), so re-running reproduces them exactly.
+    stochastic commands), so re-running reproduces them exactly under the
+    same numpy: the Monte-Carlo rows are numpy's ``Generator`` stream,
+    which numpy does not promise across versions, so the header names it.
     """
 
     command: str
@@ -122,8 +126,9 @@ class RunReport:
 
     def header(self) -> Dict[str, object]:
         head: Dict[str, object] = {
-            "schema": 1,
+            "schema": 2,
             "version": __version__,
+            "numpy": np.__version__,
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "command": self.command,
             "params": self.params,

@@ -18,7 +18,10 @@ Three families of evidence that the two sides describe the same physics:
 Every result is a small immutable report carrying its residual, tolerance
 and enough metadata to rerun it.  The Monte Carlo draws one stream per
 call from its seed and shares it among the probes of the call, so a
-probe's result does not depend on the other probes or their order.
+probe's result does not depend on the other probes or their order.  It
+draws the next chunk of that stream on a helper thread while the current
+chunk is reduced; the stream, and so every estimate, is the same as when
+the chunks are drawn one after the other.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -87,11 +91,18 @@ MC_MIN_SAMPLES = 1000
 MC_MAX_SAMPLES = 10_000_000
 
 # Samples per chunk of the Monte Carlo.  It fixes the random stream: chunk
-# k is standard_normal((4, n_k)) from the call's generator.
+# k is standard_normal((4, n_k)) from the call's generator, drawn on a
+# helper thread while chunk k - 1 is reduced, so two chunks (2 MiB) are
+# held at a time.
 _MC_CHUNK = 1 << 15
 # Samples per block: the arithmetic runs on buffers of this many columns,
-# reused for every block, so the working set stays in L2.
+# reused for every block, so the working set stays in L2.  It fixes the
+# order of the Chan merges, and so the last bits of every estimate.
 _MC_BLOCK = 1 << 12
+# OpenBLAS keeps a dgemm on one thread up to m n k = 65536 * 4; above it
+# it may take a second thread, which would contend with the draw thread
+# for the second core.
+_BLAS_ONE_THREAD = 65536 * 4
 # Index pairs (i <= j) of the quadratic features g_i g_j.
 _MC_PAIRS = np.triu_indices(4)
 
@@ -510,8 +521,15 @@ def overcompleteness_mc(
     All probes of a call share one stream of draws from default_rng(seed):
     chunk k is standard_normal((4, n_k)), n_k <= _MC_CHUNK, so the chunk
     fixes the stream, and a probe's result does not depend on the other
-    probes or their order.  The arithmetic runs on blocks of _MC_BLOCK
-    columns of each chunk, in buffers allocated once per call.  The log of
+    probes or their order.  A producer thread draws chunk k + 1, into the
+    second of two chunk buffers, while the main thread reduces chunk k:
+    numpy fills it with the GIL released, so on two cores the draws and
+    the arithmetic overlap.  The producer fills the chunks in order from
+    the one generator, so the stream and every estimate are those of
+    drawing the chunks in turn; it is joined before the call returns or
+    raises, and an exception it meets is raised in the caller.  The
+    arithmetic runs on blocks of _MC_BLOCK columns of each chunk, in
+    buffers allocated once per call.  The log of
     each probe's integrand is a quadratic form in the four real draws
     (analytic._identity_integrand_coefficients), so one GEMM of the
     stacked coefficients against the block's 15 features (1, g_i,
@@ -519,9 +537,12 @@ def overcompleteness_mc(
     one real exp per probe, and one tan per probe whose integrand has a
     phase, its cos and sin taken by the half-angle identities
     (_phase_factors): with psi1 == psi2 log F is real, and the estimate's
-    imaginary part is exactly 0.  The block means and sums of squared
+    imaginary part is exactly 0.  The GEMM is issued in column slices
+    small enough for OpenBLAS to run each on one thread, which leaves the
+    second core to the draws; each column of the product is the same
+    dot product either way.  The block means and sums of squared
     deviations are merged as they come (Chan et al.'s pairwise update),
-    so memory is one chunk of draws and the block buffers, whatever the
+    so memory is two chunks of draws and the block buffers, whatever the
     sample count.  More than MC_MAX_SAMPLES samples are refused
     with SamplesTooMany, and a probe whose integrand coefficients are not
     finite (an amplitude near the square root of the largest float) with
@@ -573,47 +594,94 @@ def overcompleteness_mc(
     sq_dev = np.zeros(len(weights))
     sum_abs = np.zeros(count)
     sum_sq = np.zeros(count)
-    # one chunk of draws, and the buffers every block reuses; the
-    # features are the rows 1, g_i, g_i g_j
-    draw_buf = np.empty(4 * min(_MC_CHUNK, samples))
+    # the buffers every block reuses; the features are the rows 1, g_i,
+    # g_i g_j
     features = np.empty((15, _MC_BLOCK))
     features[0] = 1.0
     log_buf = np.empty((len(weights), _MC_BLOCK))
     cos_buf = np.empty((len(phased), _MC_BLOCK))
-    rng = np.random.default_rng(seed)
-    for start in range(0, samples, _MC_CHUNK):
-        size = min(_MC_CHUNK, samples - start)
-        # filling a contiguous (4, size) array is standard_normal((4, size))
-        draws = draw_buf[:4 * size].reshape(4, size)
-        rng.standard_normal(out=draws)
-        for lo in range(0, size, _MC_BLOCK):
-            n = min(_MC_BLOCK, size - lo)
-            feat = features[:, :n]
-            g = feat[1:5]
-            g[...] = draws[:, lo:lo + n]
-            row = 5
-            for i in range(4):
-                np.multiply(g[i], g[i:], out=feat[row:row + 4 - i])
-                row += 4 - i
-            log_f = np.matmul(weights, feat, out=log_buf[:, :n])
-            magnitude, phase = log_f[:count], log_f[count:]
-            np.exp(magnitude, out=magnitude)
-            sum_abs += magnitude.sum(axis=1)
-            sum_sq += np.einsum("pi,pi->p", magnitude, magnitude)
-            # overwrite log_f with the real and imaginary parts of F
-            cosine, sine = _phase_factors(phase, cos_buf[:, :n])
-            for k, index in enumerate(phased):
-                sine[k] *= magnitude[index]
-                magnitude[index] *= cosine[k]
+    # the GEMM in column slices of at most width, halved from _MC_BLOCK
+    # until OpenBLAS runs each slice on one thread (see _BLAS_ONE_THREAD)
+    width = _MC_BLOCK
+    while width > 1 and len(weights) * 15 * width > _BLAS_ONE_THREAD:
+        width //= 2
 
-            # merge the block's means and squared deviations (Chan et al.)
-            block_mean = log_f.mean(axis=1)
-            log_f -= block_mean[:, None]
-            seen = start + lo
-            delta = block_mean - mean
-            mean += delta * (n / (seen + n))
-            sq_dev += np.einsum("pi,pi->p", log_f, log_f)
-            sq_dev += delta * delta * (seen * n / (seen + n))
+    # two chunks of draws: a producer thread fills chunk k into row k % 2
+    # while the main thread reduces chunk k - 1 from the other row
+    starts = range(0, samples, _MC_CHUNK)
+    draw_bufs = np.empty((2, 4 * min(_MC_CHUNK, samples)))
+    rng = np.random.default_rng(seed)
+    free = threading.Semaphore(2)  # rows the producer may fill
+    drawn = threading.Semaphore(0)  # chunks filled and not yet reduced
+    stop = threading.Event()
+    failure: List[Exception] = []
+
+    def chunk(k: int) -> np.ndarray:
+        size = min(_MC_CHUNK, samples - starts[k])
+        return draw_bufs[k % 2, :4 * size].reshape(4, size)
+
+    def produce() -> None:
+        # one generator fills the chunks strictly in order; filling a
+        # contiguous (4, size) array is standard_normal((4, size)), and
+        # numpy fills it with the GIL released
+        try:
+            for k in range(len(starts)):
+                free.acquire()
+                if stop.is_set():
+                    return
+                rng.standard_normal(out=chunk(k))
+                drawn.release()
+        except Exception as exc:
+            # the main thread waits for this chunk: wake it to raise exc
+            failure.append(exc)
+            drawn.release()
+
+    producer = threading.Thread(target=produce)
+    producer.start()
+    try:
+        for k, start in enumerate(starts):
+            drawn.acquire()
+            if failure:
+                raise failure[0]
+            draws = chunk(k)
+            size = draws.shape[1]
+            for lo in range(0, size, _MC_BLOCK):
+                n = min(_MC_BLOCK, size - lo)
+                feat = features[:, :n]
+                g = feat[1:5]
+                g[...] = draws[:, lo:lo + n]
+                row = 5
+                for i in range(4):
+                    np.multiply(g[i], g[i:], out=feat[row:row + 4 - i])
+                    row += 4 - i
+                log_f = log_buf[:, :n]
+                for a in range(0, n, width):
+                    np.matmul(weights, feat[:, a:a + width], out=log_f[:, a:a + width])
+                magnitude, phase = log_f[:count], log_f[count:]
+                np.exp(magnitude, out=magnitude)
+                sum_abs += magnitude.sum(axis=1)
+                sum_sq += np.einsum("pi,pi->p", magnitude, magnitude)
+                # overwrite log_f with the real and imaginary parts of F
+                cosine, sine = _phase_factors(phase, cos_buf[:, :n])
+                for j, index in enumerate(phased):
+                    sine[j] *= magnitude[index]
+                    magnitude[index] *= cosine[j]
+
+                # merge the block's means and squared deviations (Chan et al.)
+                block_mean = log_f.mean(axis=1)
+                log_f -= block_mean[:, None]
+                seen = start + lo
+                delta = block_mean - mean
+                mean += delta * (n / (seen + n))
+                sq_dev += np.einsum("pi,pi->p", log_f, log_f)
+                sq_dev += delta * delta * (seen * n / (seen + n))
+            free.release()
+    finally:
+        # no producer outlives the call, whatever the reduction raised: a
+        # producer waiting for a row is woken, sees stop and returns
+        stop.set()
+        free.release()
+        producer.join()
 
     # far from the proposal's mass a probe's |F|**2 underflows on every
     # draw (at theta 0.5, amplitudes from about 30 up): refuse it rather

@@ -11,6 +11,7 @@ import warnings
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,7 +81,8 @@ def test_help_exits_zero(capsys):
 def test_params_schema_and_values(capsys):
     code, doc = run_json(capsys, ["params", "--mu", "0.5", "--nu", "0.5"])
     assert code == 0
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
+    assert doc["numpy"] == np.__version__
     assert doc["command"] == "params"
     datetime.fromisoformat(doc["timestamp"])  # must parse
     result = doc["result"]
@@ -421,7 +423,7 @@ def test_overcompleteness_rows_carry_effective_sample_size(capsys):
             "--samples", "5000", "--seed", "9"]
     code, header, rows = run_ndjson(capsys, argv)
     assert code == 0
-    assert header["schema"] == 1
+    assert header["schema"] == 2
     assert all(0.0 < row["ess"] <= row["samples"] for row in rows)
 
 

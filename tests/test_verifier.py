@@ -4,6 +4,8 @@ import cmath
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -580,13 +582,109 @@ def test_mc_identity_vacuum_probe():
 
 
 def test_mc_is_deterministic():
+    # one chunk, then three: both draw buffers reused, the last chunk partial
     p = make_params(0.6, 0.6, 1.0)
-    first = overcompleteness_mc(p, [(PROBE, VAC)], 20_000, 7)
-    second = overcompleteness_mc(p, [(PROBE, VAC)], 20_000, 7)
-    assert first[0].estimate == second[0].estimate
-    assert first[0].stderr == second[0].stderr
-    third = overcompleteness_mc(p, [(PROBE, VAC)], 20_000, 8)
-    assert third[0].estimate != first[0].estimate
+    for samples in (20_000, 2 * _MC_CHUNK + 1):
+        first = overcompleteness_mc(p, [(PROBE, VAC)], samples, 7)
+        second = overcompleteness_mc(p, [(PROBE, VAC)], samples, 7)
+        assert first == second
+        third = overcompleteness_mc(p, [(PROBE, VAC)], samples, 8)
+        assert third[0].estimate != first[0].estimate
+
+
+def test_mc_calls_on_several_threads_match_their_sequential_runs():
+    # each call draws from its own generator into its own buffers; four
+    # calls and their draw threads outnumber the cores, and a short switch
+    # interval makes the threads interleave often
+    p = make_params(0.6, 0.6, 1.0)
+    probes = [(PROBE, VAC), (PROBE, PROBE)]
+    samples = 2 * _MC_CHUNK + 1
+    seeds = (7, 8, 9, 10)
+    sequential = {seed: overcompleteness_mc(p, probes, samples, seed) for seed in seeds}
+    concurrent = {}
+    barrier = threading.Barrier(len(seeds))
+
+    def call(seed):
+        barrier.wait()
+        concurrent[seed] = overcompleteness_mc(p, probes, samples, seed)
+
+    callers = [threading.Thread(target=call, args=(seed,)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert concurrent == sequential
+
+
+def test_mc_leaves_no_thread_behind(monkeypatch):
+    samples = 3 * _MC_CHUNK
+    before = threading.active_count()
+    overcompleteness_mc(P05, [(PROBE, VAC)], samples, 1)
+    assert threading.active_count() == before
+
+    # a reduction that raises while the next chunk is being drawn
+    failure = RuntimeError("reduction failed")
+    phase_factors = verifier._phase_factors
+    calls = []
+
+    def third_call_fails(phase, scratch):
+        calls.append(phase.shape)
+        if len(calls) == 3:
+            raise failure
+        return phase_factors(phase, scratch)
+
+    monkeypatch.setattr(verifier, "_phase_factors", third_call_fails)
+    with pytest.raises(RuntimeError) as raised:
+        overcompleteness_mc(P05, [(PROBE, VAC)], samples, 1)
+    assert raised.value is failure
+    assert threading.active_count() == before
+    monkeypatch.undo()
+
+    # a draw that raises on the draw thread, while the main thread waits
+    default_rng = np.random.default_rng
+
+    class SecondDrawFails:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+            self.draws = 0
+
+        def standard_normal(self, out):
+            self.draws += 1
+            if self.draws == 2:
+                raise failure
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", SecondDrawFails)
+    with pytest.raises(RuntimeError) as raised:
+        overcompleteness_mc(P05, [(PROBE, VAC)], samples, 1)
+    assert raised.value is failure
+    assert threading.active_count() == before
+
+
+def test_mc_gemm_stays_below_the_blas_threading_threshold(monkeypatch):
+    # five probes with phases make ten GEMM rows, the most the command
+    # line issues; OpenBLAS may run a larger product on a second thread,
+    # where it contends with the draws
+    matmul = np.matmul
+    sizes = []
+
+    def recording_matmul(left, right, **kwargs):
+        sizes.append(left.shape[0] * left.shape[1] * right.shape[1])
+        return matmul(left, right, **kwargs)
+
+    probes = [(PROBE, VAC), (VAC, PROBE), (PROBE, ModeAmplitudes(0.5, 0.5)),
+              (ModeAmplitudes(0.5, 0.5), ModeAmplitudes(-0.5, 0.3j)),
+              (ModeAmplitudes(1.0, 0.0), ModeAmplitudes(0.0, 1.0))]
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    overcompleteness_mc(P05, probes, _MC_CHUNK + 1, 3)
+    assert sizes and max(sizes) <= 65536 * 4, max(sizes)
+    assert sum(sizes) == 10 * 15 * (_MC_CHUNK + 1)
 
 
 def test_mc_squeezed_family_resolves_identity():
