@@ -24,8 +24,8 @@ linear in the ladders, and make_state fills its amplitudes by recurrence
 from them; no exponential of a dim x dim operator is formed or applied.
 The module imports numpy only.  The one dense dim x dim matrix is the
 unitary of displacement_op, about 45 MB at cutoff 40, which the tests and
-the benchmark's displacement probe still conjugate; it is the package's
-only user of scipy, whose scipy.linalg it imports inside its body.
+the benchmark's displacement probe still conjugate; it is the Kronecker
+product of two single-mode exponentials, each (cutoff+1) x (cutoff+1).
 
 Truncation is the only approximation.  Operator identities hold exactly on
 the subspace of total occupation <= cutoff - buffer; states are guarded by a
@@ -205,7 +205,7 @@ class OperatorMatrix:
     (len(offsets), dim) array ``bands`` holds ``M[i, i + offsets[k]]`` at
     index i, zero where that column falls outside the space or the entry
     wraps across a row of n_b.  Products, adjoints and sums work band by
-    band with numpy slices.  ``matrix`` is a dense dim x dim view built on
+    band with numpy slices.  ``matrix`` is a dense dim x dim array built on
     each access, for tests and the benchmark's displacement probe only.
     """
 
@@ -217,7 +217,7 @@ class OperatorMatrix:
     def matrix(self) -> np.ndarray:
         """A new dense dim x dim array of the operator (dim**2 complex
         entries: about 45 MB at cutoff 40), for tests and the benchmark's
-        displacement probe only; no engine path reads it."""
+        displacement probe only; no module of the package reads it."""
         index = np.arange(self.space.dim)
         dense = np.zeros((self.space.dim, self.space.dim), dtype=np.complex128)
         for rows, cols, entries in self._diagonals:
@@ -277,18 +277,8 @@ class OperatorMatrix:
     __rmul__ = __mul__
 
     def _product(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """Band by band: (AB)[i, i + p + q] gets A[i, i + p] B[i + p, i + p + q]."""
-        dim = self.space.dim
-        sums: dict = {}
-        for p, (rows, cols, left) in zip(self.offsets, self._diagonals):
-            for q, right in zip(other.offsets, other.bands):
-                if abs(p + q) >= dim:
-                    continue
-                acc = sums.get(p + q)
-                if acc is None:
-                    acc = sums[p + q] = np.zeros(dim, dtype=np.complex128)
-                acc[rows] += left * right[cols]
-        return _merged(self.space, sums.items())
+        """Band by band, from _band_products."""
+        return _merged(self.space, _band_products(self, other))
 
     def _apply(self, block: np.ndarray) -> np.ndarray:
         """M @ block for a vector or a (dim, m) block of columns."""
@@ -313,35 +303,36 @@ def _identity(space: FockSpace) -> OperatorMatrix:
     return OperatorMatrix(space, (0,), np.ones((1, space.dim), dtype=np.complex128))
 
 
-def _commutator_bands(left: OperatorMatrix, right: OperatorMatrix):
-    """[left, right] one output offset o at a time, in ascending order, as
-    (o, band) with band a new dim-entry array.
-
-    (LR)_o and (RL)_o are each accumulated over the band pairs with
-    p + q = o in the order _product visits them, and then subtracted, so
-    every entry equals that of left @ right - right @ left, up to the sign
-    of a zero; no product operator is formed.  Offsets with |o| >= dim are
-    skipped, as _product skips them.
-    """
-    _check_same_space(left.space, right.space)
-    dim = left.space.dim
-    left_bands, right_bands = (dict(zip(op.offsets, op.bands)) for op in (left, right))
-    # scratch for one band pair's term, and for (RL)_o
+def _band_products(a: OperatorMatrix, b: OperatorMatrix):
+    """a @ b one output offset o at a time, in ascending order, as (o, band)
+    with band a new dim-entry array: (ab)[i, i + o] sums a[i, i + p]
+    b[i + p, i + o] over the offsets p of a, in a's order.  Offsets with
+    |o| >= dim fall outside the space and are skipped."""
+    dim = a.space.dim
+    b_bands = dict(zip(b.offsets, b.bands))
+    # scratch for one band pair's term
     term = np.empty(dim, dtype=np.complex128)
-    reverse = np.empty(dim, dtype=np.complex128)
-
-    def accumulate(acc: np.ndarray, a: OperatorMatrix, b_bands: dict, o: int) -> np.ndarray:
-        """acc += (ab)_o: a[i, i + p] b[i + p, i + o] over p in a's order."""
+    for o in sorted({p + q for p in a.offsets for q in b.offsets if abs(p + q) < dim}):
+        acc = np.zeros(dim, dtype=np.complex128)
         for p, (rows, cols, entries) in zip(a.offsets, a._diagonals):
             band = b_bands.get(o - p)
             if band is not None:
                 acc[rows] += np.multiply(entries, band[cols], out=term[rows])
-        return acc
+        yield o, acc
 
-    for o in sorted({p + q for p in left.offsets for q in right.offsets if abs(p + q) < dim}):
-        reverse.fill(0.0)
-        band = accumulate(np.zeros(dim, dtype=np.complex128), left, right_bands, o)
-        band -= accumulate(reverse, right, left_bands, o)
+
+def _commutator_bands(left: OperatorMatrix, right: OperatorMatrix):
+    """[left, right] one output offset o at a time, in ascending order, as
+    (o, band) with band a new dim-entry array.
+
+    (LR)_o and (RL)_o come from _band_products, as _product sums them, and
+    are then subtracted, so every entry equals that of left @ right -
+    right @ left, up to the sign of a zero; no product operator is formed.
+    LR and RL have the same offsets, so the two streams stay in step.
+    """
+    _check_same_space(left.space, right.space)
+    for (o, band), (_, reverse) in zip(_band_products(left, right), _band_products(right, left)):
+        band -= reverse
         yield o, band
 
 
@@ -535,7 +526,8 @@ def _refuse_large_squeeze(z: Optional[SqueezeParam]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _DenseUnitary:
-    """displacement_op's unitary as a dense dim x dim array."""
+    """displacement_op's unitary as a dense dim x dim array, the Kronecker
+    product of its two single-mode factors."""
 
     matrix: np.ndarray
 
@@ -549,26 +541,32 @@ def displacement_op(
 ) -> _DenseUnitary:
     """Dense unitary displacement of the deformed pair by (alpha, beta).
 
-    The only dense dim x dim array of the engine, and the package's only
-    user of scipy, whose scipy.linalg.expm it imports here so that no
-    other path loads scipy.
-    No state or check uses it (make_state builds states from their
-    Gaussian data); the tests and the benchmark's displacement probe
-    conjugate it, so it stays until that probe becomes a commutator
-    residual (ROADMAP item 1).  Raises NonFinite on a non-finite generator
-    or unitary.
+    The generator is row . (a, a+, b, b+) with row from _displacement_row,
+    and on the truncated space a = A (x) 1 and b = 1 (x) A, with A the
+    single-mode annihilator.  So it is the Kronecker sum of the blocks
+    G_a = row[0] A + row[1] A+ and G_b = row[2] A + row[3] A+, and its
+    exponential is exactly exp(G_a) (x) exp(G_b): two (cutoff+1)-square
+    exponentials from one _expm call, then one Kronecker product.
+    The only dense dim x dim array of the engine.  No state or check uses
+    it (make_state builds states from their Gaussian data); the tests and
+    the benchmark's displacement probe conjugate it, so it stays until
+    that probe becomes a commutator residual (ROADMAP item 1).  Raises
+    NonFinite on a generator that is not finite or too large for _expm to
+    scale (a 1-norm above 2**1022), or on a unitary whose squarings
+    overflow.
     """
-    from scipy.linalg import expm
-
     if ops is None:
         ops = build_operator_set(params, space)
-    gen = _displacement_generator(ops, amps).matrix
-    if not np.isfinite(gen).all():
-        raise NonFinite("displacement generator has non-finite entries")
-    unitary = expm(gen)
-    if not np.isfinite(unitary).all():
+    A = np.diag(np.sqrt(np.arange(1.0, ops.space.cutoff + 1)), 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = _displacement_row(ops, amps)
+        blocks = np.array([row[0] * A + row[1] * A.T, row[2] * A + row[3] * A.T])
+        if not np.abs(blocks).sum(axis=-2).max() <= 2.0 ** 1022:
+            raise NonFinite("displacement generator is not finite, or too large to exponentiate")
+        factors = _expm(blocks)
+    if not np.isfinite(factors).all():
         raise NonFinite("displacement unitary has non-finite entries")
-    return _DenseUnitary(unitary)
+    return _DenseUnitary(np.kron(*factors))
 
 
 # [u.L, w.L] = u @ _J @ w for coefficient 4-vectors over L = (a, a+, b, b+),

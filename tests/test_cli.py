@@ -466,19 +466,6 @@ def test_sweep_theta_includes_exact_commutative_point(capsys):
     assert any(row["squeezed_px"] for row in rows[1:])
 
 
-def test_sweep_env_thread_cap_is_invisible(capsys, monkeypatch):
-    argv = ["sweep", "--mu", "0.5", "--nu", "0.5", "--variable", "phi",
-            "--start", "-3", "--stop", "3", "--step", "0.5",
-            "--r", "0.2", "--quantity", "prod_xpx"]
-    monkeypatch.setenv("NCSQ_THREADS", "1")
-    run(argv)
-    serial = capsys.readouterr().out.strip().split("\n")[1:]
-    monkeypatch.setenv("NCSQ_THREADS", "4")
-    run(argv)
-    pooled = capsys.readouterr().out.strip().split("\n")[1:]
-    assert serial == pooled
-
-
 def test_sweep_guards(capsys):
     base = ["sweep", "--mu", "0.5", "--nu", "0.5"]
     huge = base + ["--variable", "r", "--start", "0", "--stop", "1e6",
@@ -637,18 +624,22 @@ def test_unwritable_out_exits_two(capsys, tmp_path):
 # import graph
 
 
-# Run in a fresh interpreter: after `import ncsq.cli`, then after each
-# command through cli.run (`ncsq check` at cutoff 16, where cutoff 12
-# refuses the default state's tail), the scipy modules loaded so far; then
-# displacement_op, whose dense expm is imported inside it.
+# Run in a fresh interpreter with scipy blocked, so that any import of it
+# raises, as in an install without the test extra: after `import ncsq.cli`,
+# then after each command through cli.run (`ncsq check` at cutoff 16,
+# where cutoff 12 refuses the default state's tail), the exit code and the
+# scipy modules loaded so far; then displacement_op's unitarity defect.
 _IMPORT_GRAPH_PROBE = """
-import contextlib, io, json, sys
+import sys
+sys.modules["scipy"] = None
+import contextlib, io, json
 import numpy as np
 import ncsq.cli
 from ncsq import ModeAmplitudes, cli, fock, make_params
 
 def scipy_loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m, module in sys.modules.items()
+                  if module is not None and (m == "scipy" or m.startswith("scipy.")))
 
 steps = {"import ncsq.cli": [0, scipy_loaded()]}
 commands = {
@@ -672,7 +663,8 @@ print(json.dumps({"steps": steps, "defect": float(defect)}))
 
 
 def test_check_loads_no_scipy_linear_algebra():
-    """No command loads any scipy module; only displacement_op does."""
+    """Every command and displacement_op run with scipy unimportable, and
+    none loads any scipy module: numpy is the only runtime dependency."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

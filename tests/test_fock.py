@@ -8,6 +8,7 @@ against an SVD null-space oracle.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,7 +190,8 @@ def test_banded_operators_match_dense_solve(theta, space12):
         got = getattr(ops, name).matrix
         assert np.abs(got - want).max() < 1e-13, name
     # every engine operator is banded and equals its scipy reference built
-    # from the kron ladders; only displacement_op's unitary is dense
+    # from the kron ladders; only displacement_op's unitary is dense, the
+    # Kronecker product of two single-mode exponentials
     want = _kron_references(ops)
     z = SqueezeParam(0.3, 0.9)
     pair = want["a_def"] @ want["b_def"]
@@ -382,6 +384,22 @@ def test_displacement_of_nothing_is_identity(space20):
     assert np.abs(disp.matrix - np.eye(space20.dim)).max() < 1e-14
 
 
+@pytest.mark.parametrize("mu, nu", [(0.5, 0.5), (0.1, 0.9), (1e-3, 10.0)])
+@pytest.mark.parametrize("cutoff", [12, 20])
+def test_displacement_op_matches_dense_scipy_expm(mu, nu, cutoff):
+    """The Kronecker product of the two single-mode exponentials equals
+    scipy's expm of the dense two-mode generator, the route it replaced."""
+    from scipy.linalg import expm
+
+    params = make_params(mu, nu, 1.0)
+    space = make_space(cutoff)
+    ops = build_operator_set(params, space)
+    for amps in (ModeAmplitudes(0.0, 0.0), ModeAmplitudes(0.7j, 0.3 - 0.2j)):
+        want = expm(_displacement_generator(ops, amps).matrix)
+        got = displacement_op(params, space, amps, ops).matrix
+        assert np.abs(got - want).max() <= 1e-13, amps
+
+
 def test_displacement_op_rejects_nonfinite(space12):
     # a NaN weight in a_def reaches the generator
     ops = build_operator_set(P05, space12)
@@ -390,6 +408,14 @@ def test_displacement_op_rejects_nonfinite(space12):
     with pytest.raises(NonFinite):
         displacement_op(P05, space12, ModeAmplitudes(0.1, 0.0),
                         dataclasses.replace(ops, coeffs=coeffs))
+    # amplitudes whose squarings overflow (1e150, 1e300), whose generator
+    # is too large to scale by a power of two (1e307), and whose generator
+    # overflows as it is built (1.7e308): a refusal, no warning
+    for alpha in (1e150, 1e300, 1e307, 1.7e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                displacement_op(P05, space12, ModeAmplitudes(alpha, 0.0), ops)
 
 
 def test_squeeze_adjoint_is_negated_squeeze():
