@@ -20,8 +20,9 @@ verifier takes each commutator identity, such as one annihilator's image
 [G, m] under the squeeze generator G, from these bands one at a time,
 subtracting the expected band and reading its safe-block max before the
 next.  Every state S D |0_def> is a Gaussian fixed by two annihilators
-linear in the ladders, and make_state fills its amplitudes by recurrence
-from them; no exponential of a dim x dim operator is formed or applied.
+linear in the ladders, and make_states fills a batch of them by one
+recurrence over stacks of at most 2**16 amplitudes; no exponential of a
+dim x dim operator is formed or applied.
 The module imports numpy only.  The one dense dim x dim matrix is the
 unitary of displacement_op, about 45 MB at cutoff 40, which the tests and
 the benchmark's displacement probe still conjugate; it is the Kronecker
@@ -40,7 +41,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +71,7 @@ __all__ = [
     "expectation_and_variance",
     "make_space",
     "make_state",
+    "make_states",
     "safe_norm_fraction",
 ]
 
@@ -552,8 +554,8 @@ def displacement_op(
     the benchmark's displacement probe conjugate it, so it stays until
     that probe becomes a commutator residual (ROADMAP item 1).  Raises
     NonFinite on a generator that is not finite or too large for _expm to
-    scale (a 1-norm above 2**1022), or on a unitary whose squarings
-    overflow.
+    scale (a 1-norm above 2**1022), then PopulationOverflow on a mean
+    occupation above the cutoff (check_displacement at buffer 0).
     """
     if ops is None:
         ops = build_operator_set(params, space)
@@ -563,9 +565,8 @@ def displacement_op(
         blocks = np.array([row[0] * A + row[1] * A.T, row[2] * A + row[3] * A.T])
         if not np.abs(blocks).sum(axis=-2).max() <= 2.0 ** 1022:
             raise NonFinite("displacement generator is not finite, or too large to exponentiate")
+        check_displacement(ops, amps, 0)
         factors = _expm(blocks)
-    if not np.isfinite(factors).all():
-        raise NonFinite("displacement unitary has non-finite entries")
     return _DenseUnitary(np.kron(*factors))
 
 
@@ -608,8 +609,8 @@ def _pair_data(rows: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     exp(a+^T L a+ / 2 + l . a+)|0,0> up to a factor, with L = -Ma^-1 Mc and
     l = Ma^-1 g from one 2x2 solve.  It exists exactly when L is symmetric,
     which is [rows_0, rows_1] = 0; an asymmetry |L01 - L10| above 1e-10
-    raises SaturatedOrSuperCritical.  rows may be a (..., 2, 4) stack."""
-    g = np.broadcast_to(np.asarray(g, dtype=np.complex128)[:, None], rows.shape[:-1] + (1,))
+    raises SaturatedOrSuperCritical.  rows may be a (..., 2, 4) stack, g (2,) or (..., 2)."""
+    g = np.broadcast_to(np.asarray(g, dtype=np.complex128)[..., None], rows.shape[:-1] + (1,))
     sol = np.linalg.solve(rows[..., [0, 2]], np.concatenate([-rows[..., [1, 3]], g], axis=-1))
     pair, linear = sol[..., :2], sol[..., 2]
     asymmetry = float(np.abs(pair[..., 0, 1] - pair[..., 1, 0]).max())
@@ -621,39 +622,39 @@ def _pair_data(rows: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     return pair, linear
 
 
-def _gaussian_state(
-    space: FockSpace, rows: np.ndarray, g: np.ndarray, phase: float
-) -> StateVector:
-    """The unit state annihilated by rows . (a, a+, b, b+) - g, with this
-    phase on |0,0>.  a_j acts on it as (L a+ + l)_j, (L, l) from _pair_data,
-    so sqrt(n_j + 1) psi[n + e_j] = l_j psi[n] + sum_k L_jk sqrt(n_k) psi[n - e_k]
+def _gaussian_states(space: FockSpace, rows: np.ndarray, g: np.ndarray,
+                     phase: np.ndarray) -> np.ndarray:
+    """The (S, dim) unit states annihilated by rows[s] . (a, a+, b, b+) - g[s],
+    with phase[s] on |0,0>.  a_j acts on state s as (L a+ + l)_j, (L, l) from
+    _pair_data, so sqrt(n_j + 1) psi[n + e_j] = l_j psi[n] + sum_k L_jk sqrt(n_k) psi[n - e_k]
     (Miatto and Quesada, Quantum 4, 366 (2020)): from psi[0, 0] = 1, along
-    n_b on the row n_a = 0 (j = b), then one row of n_a at a time (j = a)."""
+    n_b on the row n_a = 0 (j = b), then one row of n_a at a time (j = a),
+    each step once for the whole stack (root[0] = 0 drops psi[-1] at n = 0)."""
     pair, linear = _pair_data(rows, g)
     cutoff = space.cutoff
     root = np.sqrt(np.arange(cutoff + 1.0))
-    # the row n_a = 0 in Python complex arithmetic, one entry at a time
-    l_b, pair_bb, roots = complex(linear[1]), complex(pair[1, 1]), root.tolist()
-    first = [1.0, l_b]
-    for n in range(1, cutoff):
-        first.append((l_b * first[n] + pair_bb * roots[n] * first[n - 1]) / roots[n + 1])
-    psi = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
-    psi[0] = first
-    cross = pair[0, 1] * root[1:]
+    psi = np.zeros((len(rows), cutoff + 1, cutoff + 1), dtype=np.complex128)
+    psi[:, 0, 0] = 1.0
+    first, l_b, pair_bb = psi[:, 0], linear[:, 1], pair[:, 1, 1]
     for n in range(cutoff):
-        row = linear[0] * psi[n]
-        row[1:] += cross * psi[n, :-1]
-        if n:
-            row += (pair[0, 0] * root[n]) * psi[n - 1]
-        psi[n + 1] = row / root[n + 1]
-    psi *= cmath.exp(1j * phase) / np.linalg.norm(psi)
-    return StateVector(space, psi.reshape(space.dim))
+        first[:, n + 1] = (l_b * first[:, n] + (pair_bb * root[n]) * first[:, n - 1]) / root[n + 1]
+    l_a, pair_aa, cross = linear[:, 0, None], pair[:, 0, 0, None], pair[:, 0, 1, None] * root[1:]
+    for n in range(cutoff):
+        row = l_a * psi[:, n]
+        row[:, 1:] += cross * psi[:, n, :-1]
+        row += (pair_aa * root[n]) * psi[:, n - 1]
+        psi[:, n + 1] = row / root[n + 1]
+    psi = psi.reshape(len(rows), space.dim)
+    for vector, angle in zip(psi, phase):
+        vector *= cmath.exp(1j * angle) / np.linalg.norm(vector)
+    return psi
 
 
 def deformed_vacuum(ops: OperatorSet) -> StateVector:
     """The unit state annihilated by a_def and b_def of ops, positive on
     |0,0>; SaturatedOrSuperCritical when none exists (see _pair_data)."""
-    return _gaussian_state(ops.space, ops.coeffs[4:], np.zeros(2), 0.0)
+    vector, = _gaussian_states(ops.space, ops.coeffs[None, 4:], np.zeros((1, 2)), np.zeros(1))
+    return StateVector(ops.space, vector)
 
 
 def _squeezed_rows(ops: OperatorSet, rows: np.ndarray, g: np.ndarray, z: SqueezeParam):
@@ -677,33 +678,12 @@ def _squeezed_rows(ops: OperatorSet, rows: np.ndarray, g: np.ndarray, z: Squeeze
     return stacked[-1], float((_WEIGHTS @ rate).imag)
 
 
-def make_state(
-    ops: OperatorSet,
-    amps: Optional[ModeAmplitudes] = None,
-    z: Optional[SqueezeParam] = None,
-    *,
-    buffer: int = DEFAULT_BUFFER,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> StateVector:
-    """The state S D |0_def> of the deformed pair of ops, with D the
-    displacement by amps and S the squeeze by z (so the squeeze acts last).
-
-    It is the Gaussian of _gaussian_state annihilated by a_def and b_def,
-    shifted by their c-number commutators g with the displacement generator
-    X, and carried through S by _squeezed_rows, with the phase of
+def _gaussian_data(ops: OperatorSet, vacuum_pair: np.ndarray, amps, z, buffer: int):
+    """(rows, g, phase) of S D |0_def>: the Gaussian annihilated by a_def and
+    b_def, shifted by their c-number commutators g with the displacement
+    generator X, and carried through S by _squeezed_rows, with the phase of
     <0,0|S D|0_def>: Im(c.d/2 + d^T L0 d/2) for D by Baker-Campbell-Hausdorff,
-    c and d the creator and annihilator parts of X and L0 the vacuum's L.
-    Refused before any amplitude: a buffer outside [0, cutoff]
-    (BufferOutOfRange), r above DEFAULT_MAX_SQUEEZE (SqueezeTooLargeForCutoff),
-    and a displacement whose mean occupation in the engine's basis exceeds
-    cutoff - buffer (check_displacement's PopulationOverflow).  The result
-    is normalised and guarded: if more than tail_tol of its population
-    sits within ``buffer`` quanta of the cutoff, the truncation cannot be
-    trusted and PopulationOverflow is raised.
-    """
-    space = ops.space
-    check_buffer(space, buffer)
-    _refuse_large_squeeze(z)
+    c and d the creator and annihilator parts of X and L0 = vacuum_pair."""
     rows = ops.coeffs[4:]
     g = np.zeros(2, dtype=np.complex128)
     phase = 0.0
@@ -711,20 +691,60 @@ def make_state(
         check_displacement(ops, amps, buffer)
         row = _displacement_row(ops, amps)
         g = rows @ _J @ row
-        vacuum_pair, _ = _pair_data(rows, np.zeros(2))
         ann, cre = row[[0, 2]], row[[1, 3]]
         phase = float((cre @ ann + ann @ vacuum_pair @ ann).imag) / 2.0
     if z is not None and z.r > 0.0:
         rows, squeeze_phase = _squeezed_rows(ops, rows, g, z)
         phase += squeeze_phase
-    out = _gaussian_state(space, rows, g, phase)
-    leak = safe_norm_fraction(out, buffer=buffer)
-    if not leak <= tail_tol:
-        raise PopulationOverflow(
-            f"{leak:.3e} of the population lies within {buffer} quanta of "
-            f"cutoff {space.cutoff}; increase the cutoff"
-        )
-    return out
+    return rows, g, phase
+
+
+# complex amplitudes of one stack (1 MiB): 68 states at cutoff 30, one at 200
+_STACK_ENTRIES = 2 ** 16
+
+
+def make_states(
+    ops: OperatorSet, cases: Sequence[Tuple[Optional[ModeAmplitudes], Optional[SqueezeParam]]],
+    *, buffer: int = DEFAULT_BUFFER, tail_tol: float = DEFAULT_TAIL_TOL,
+) -> Iterator[Tuple[StateVector, float]]:
+    """S D |0_def> and its tail fraction (safe_norm_fraction) for each (amps, z)
+    case in order, None for no D or S, built in stacks of _STACK_ENTRIES
+    amplitudes as they are asked for.  Refuses, when first asked, a buffer
+    outside [0, cutoff] and r above DEFAULT_MAX_SQUEEZE in any case, then in
+    case order a mean occupation above cutoff - buffer (check_displacement)
+    and more than tail_tol of a state within ``buffer`` quanta of the cutoff."""
+    space = ops.space
+    check_buffer(space, buffer)
+    for _, z in cases:
+        _refuse_large_squeeze(z)
+    vacuum_pair, _ = _pair_data(ops.coeffs[4:], np.zeros(2))
+    size = max(1, _STACK_ENTRIES // space.dim)
+    for start in range(0, len(cases), size):
+        data, refusal = [], None
+        for amps, z in cases[start:start + size]:
+            try:
+                data.append(_gaussian_data(ops, vacuum_pair, amps, z, buffer))
+            except (PopulationOverflow, SaturatedOrSuperCritical) as exc:
+                # raised once the states before it are out
+                refusal = exc
+                break
+        if data:
+            for vector in _gaussian_states(space, *(np.array(column) for column in zip(*data))):
+                state = StateVector(space, vector)
+                leak = safe_norm_fraction(state, buffer=buffer)
+                if not leak <= tail_tol:
+                    raise PopulationOverflow(f"{leak:.3e} of the population lies within {buffer} "
+                                             f"quanta of cutoff {space.cutoff}; increase the cutoff")
+                yield state, leak
+        if refusal is not None:
+            raise refusal
+
+
+def make_state(ops: OperatorSet, amps: Optional[ModeAmplitudes] = None,
+               z: Optional[SqueezeParam] = None, *, buffer: int = DEFAULT_BUFFER,
+               tail_tol: float = DEFAULT_TAIL_TOL) -> StateVector:
+    """The state S D |0_def> of the one case (amps, z), from make_states."""
+    return next(make_states(ops, [(amps, z)], buffer=buffer, tail_tol=tail_tol))[0]
 
 
 def safe_norm_fraction(state: StateVector, buffer: int = DEFAULT_BUFFER) -> float:

@@ -56,7 +56,7 @@ from .fock import (
     check_displacement,
     expectation_and_variance,
     make_space,
-    make_state,
+    make_states,
 )
 from .params import NcParams, NonFinite
 
@@ -407,13 +407,12 @@ def crosscheck_suite(
     m|coh> = lambda_m|coh> (m = a_def, b_def) of its coherent state at
     tolerance 1e-8, then the overlaps of the state against the deformed
     vacuum and the coherent state, and its six quadrature variances, at
-    relative tolerance 1e-6 against their closed forms.  Every state comes
-    from make_state, which takes its eigenvalues from the engine's own
-    commutators and its squeeze from the coefficient rows, not from these
-    closed forms.  Each case's coherent state is built once and serves as
-    the bra; a squeezed case builds its state too, all under the tail
-    guard at the caller's buffer.  Refuses a buffer outside [0, cutoff]
-    (BufferOutOfRange), a squeeze beyond make_state's bound
+    relative tolerance 1e-6 against their closed forms.  One make_states
+    call builds the vacuum, then each case's coherent state (the bra) and
+    squeezed state if any, from the engine's own commutators and rows, not
+    these closed forms, under the tail guard at the caller's buffer; a
+    case's ``tail`` is the larger tail fraction of its states.  Refuses a
+    buffer outside [0, cutoff] (BufferOutOfRange), a squeeze beyond make_state's bound
     (SqueezeTooLargeForCutoff) and an ops built for other params or
     another cutoff (SpaceMismatch) before building anything.
     """
@@ -426,31 +425,32 @@ def crosscheck_suite(
         raise SpaceMismatch(f"operator set built for theta {ops.params.theta!r} at cutoff "
                             f"{ops.space.cutoff}, not {params.theta!r} at {space.cutoff}")
     vac_amps = ModeAmplitudes(0.0, 0.0)
-    vacuum = make_state(ops, buffer=buffer)
+    build = [(None, None)]
+    for amps, z in cases:
+        build += [(amps, None), (amps, z)] if z is not None and z.r > 0.0 else [(amps, None)]
+    states = make_states(ops, build, buffer=buffer)
+    vacuum, _ = next(states)
     quads = _quadratures(ops)
 
     reports: List[ResidualReport] = []
     for index, (amps, z) in enumerate(cases):
-        coherent = make_state(ops, amps, buffer=buffer)
-        case_meta = {
-            "case": index,
-            "alpha": str(amps.alpha),
-            "beta": str(amps.beta),
-            "r": 0.0 if z is None else z.r,
-            "phi": 0.0 if z is None else z.phi,
-        }
-        case_meta.update(_params_meta(params, space, buffer))
+        coherent, tail = next(states)
+        state = coherent
+        if z is not None and z.r > 0.0:
+            state, squeezed_tail = next(states)
+            tail = max(tail, squeezed_tail)
+        case_meta = {"case": index, "alpha": str(amps.alpha), "beta": str(amps.beta),
+                     "r": 0.0 if z is None else z.r, "phi": 0.0 if z is None else z.phi,
+                     "tail": tail, **_params_meta(params, space, buffer)}
 
         eig = max(np.linalg.norm(m @ coherent.vector - lam * coherent.vector) for m, lam
                   in zip((ops.a_def, ops.b_def), analytic.coherent_eigenvalues(params, amps)))
         reports.append(_report(f"eigenvalue[{index}]", eig, OPERATOR_TOL, **case_meta))
 
-        if z is None or z.r == 0.0:
-            state = coherent
+        if state is coherent:
             want_vac = analytic.coherent_overlap(params, vac_amps, amps)
             want_self = analytic.coherent_overlap(params, amps, amps)
         else:
-            state = make_state(ops, amps, z, buffer=buffer)
             want_vac = analytic.squeezed_overlap(params, vac_amps, amps, z)
             want_self = analytic.squeezed_overlap(params, amps, amps, z)
         overlap_resid = max(
@@ -752,8 +752,8 @@ def convergence_probe(
         ops = build_operator_set(params, space)
         # The probe exists to measure truncation error, so it must be able
         # to build states whose truncation error is still visible.
-        state = make_state(ops, amps, z, buffer=buffer, tail_tol=1e-3)
-        vacuum = make_state(ops, buffer=buffer, tail_tol=1e-3)
+        (state, _), (vacuum, _) = make_states(
+            ops, [(amps, z), (None, None)], buffer=buffer, tail_tol=1e-3)
         for name, op in _quadratures(ops).items():
             _, variance = expectation_and_variance(state, op)
             tracked[name].append(variance)

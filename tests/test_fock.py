@@ -408,13 +408,21 @@ def test_displacement_op_rejects_nonfinite(space12):
     with pytest.raises(NonFinite):
         displacement_op(P05, space12, ModeAmplitudes(0.1, 0.0),
                         dataclasses.replace(ops, coeffs=coeffs))
-    # amplitudes whose squarings overflow (1e150, 1e300), whose generator
-    # is too large to scale by a power of two (1e307), and whose generator
-    # overflows as it is built (1.7e308): a refusal, no warning
-    for alpha in (1e150, 1e300, 1e307, 1.7e308):
+    # amplitudes whose generator is too large to scale by a power of two
+    # (1e307), and whose generator overflows as it is built (1.7e308): a
+    # refusal, no warning
+    for alpha in (1e307, 1.7e308):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFinite):
+                displacement_op(P05, space12, ModeAmplitudes(alpha, 0.0), ops)
+    # finite generators whose mean occupation is past the cutoff, where the
+    # truncated exponential is far from unitary (|U+U - 1| read 8.1 at 1e15
+    # before this refusal): check_displacement's refusal, no warning
+    for alpha in (1e12, 1e15, 1e150, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PopulationOverflow, match="exceeds cutoff 12 minus buffer 0"):
                 displacement_op(P05, space12, ModeAmplitudes(alpha, 0.0), ops)
 
 
@@ -581,12 +589,80 @@ def test_make_state_refuses_a_displacement_the_truncation_reflects(monkeypatch):
     ops = build_operator_set(p, make_space(40))
     amps = ModeAmplitudes(-12.649110640673518, 12.649110640673518j)
     calls = []
-    real = fock._gaussian_state
-    monkeypatch.setattr(fock, "_gaussian_state", lambda *a: calls.append(a) or real(*a))
+    real = fock._gaussian_states
+    monkeypatch.setattr(fock, "_gaussian_states", lambda *a: calls.append(a) or real(*a))
     with pytest.raises(PopulationOverflow, match="engine's basis, the displaced state's "
                                                  "mean occupation 3.36.e[+]02 exceeds cutoff 40"):
         make_state(ops, amps)
     assert calls == []
+
+
+# vacuum, coherent, displaced squeezed, squeezed vacuum and a zero squeeze
+MIXED_CASES = [(None, None), (ModeAmplitudes(0.3, 0.1j), None),
+               (ModeAmplitudes(0.2j, -0.1), SqueezeParam(0.1, 0.5)),
+               (None, SqueezeParam(0.15, -1.0)),
+               (ModeAmplitudes(-0.1, 0.2 - 0.1j), SqueezeParam(0.0, 1.0)),
+               (ModeAmplitudes(0.0, 0.0), SqueezeParam(0.05, 2.5))]
+
+
+@pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("cutoff", [12, 30])
+def test_make_states_match_the_states_built_alone(theta, cutoff):
+    """Each state of one stacked call equals its case built alone, global
+    phase included, and comes with its safe_norm_fraction.  At cutoff 12
+    the squeezed tails exceed the default guard, so it is loosened for
+    both builds alike."""
+    ops = build_operator_set(make_params(theta, theta, 1.0), make_space(cutoff))
+    built = list(fock.make_states(ops, MIXED_CASES, tail_tol=1e-3))
+    assert len(built) == len(MIXED_CASES)
+    for (state, tail), (amps, z) in zip(built, MIXED_CASES):
+        alone = make_state(ops, amps, z, tail_tol=1e-3)
+        assert np.abs(state.vector - alone.vector).max() <= 1e-15, (amps, z)
+        assert tail == pytest.approx(safe_norm_fraction(alone), rel=1e-12, abs=1e-300)
+
+
+def test_make_states_split_a_long_batch_into_stacks(space30, monkeypatch):
+    """With room for two states a stack, seven cases take four stacks and
+    give the states of one stack."""
+    ops = build_operator_set(P05, space30)
+    cases = MIXED_CASES + [(ModeAmplitudes(0.1j, 0.1), SqueezeParam(0.2, -0.3))]
+    whole = [state.vector for state, _ in fock.make_states(ops, cases)]
+    sizes = []
+    real = fock._gaussian_states
+    monkeypatch.setattr(fock, "_gaussian_states",
+                        lambda space, rows, *a: sizes.append(len(rows)) or real(space, rows, *a))
+    monkeypatch.setattr(fock, "_STACK_ENTRIES", 2 * space30.dim + 1)
+    split = [state.vector for state, _ in fock.make_states(ops, cases)]
+    assert sizes == [2, 2, 2, 1]
+    assert np.abs(np.array(split) - np.array(whole)).max() <= 1e-15
+
+
+TAIL_REFUSAL = "3.686e-05 of the population lies within 5 quanta of cutoff 12; increase the cutoff"
+MEAN_REFUSAL = ("in the engine's basis, the displaced state's mean occupation 3.392e+01 "
+                "exceeds cutoff 12 minus buffer 5; increase the cutoff")
+
+
+@pytest.mark.parametrize("first, second, message", [
+    (1.2, 6.0, TAIL_REFUSAL),
+    (6.0, 1.2, MEAN_REFUSAL),
+])
+def test_make_states_raise_the_first_refusal_in_build_order(space12, first, second, message):
+    """Of two refused cases, the one built first is raised, whether its
+    refusal is the tail guard (alpha 1.2) or the mean occupation (alpha 6),
+    with the message of the state built alone; the states before it are
+    yielded first, and the crosscheck raises the same."""
+    ops = build_operator_set(P05, space12)
+    cases = [(None, None), (ModeAmplitudes(first, 0.0), None),
+             (ModeAmplitudes(second, 0.0), None)]
+    yielded = []
+    with pytest.raises(PopulationOverflow) as refusal:
+        for state, _ in fock.make_states(ops, cases):
+            yielded.append(state)
+    assert str(refusal.value) == message
+    assert len(yielded) == 1
+    with pytest.raises(PopulationOverflow) as refusal:
+        verifier.crosscheck_suite(P05, space12, [case for case in cases[1:]])
+    assert str(refusal.value) == message
 
 
 def test_make_state_refuses_a_buffer_outside_the_cutoff(space12):

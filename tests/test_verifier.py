@@ -499,6 +499,21 @@ def test_crosscheck_metadata_names_cases(space30):
     assert reports[3].metadata == reports[4].metadata
 
 
+def test_crosscheck_rows_carry_the_tail_of_their_states(space30):
+    """A case's rows carry the larger safe_norm_fraction of its coherent
+    and squeezed states at the caller's buffer."""
+    ops = build_operator_set(P05, space30)
+    cases = [(ModeAmplitudes(0.6, 0.2j), None),
+             (ModeAmplitudes(0.1j, -0.3), SqueezeParam(0.2, 0.5))]
+    reports = crosscheck_suite(P05, space30, cases, buffer=8, ops=ops)
+    for index, (amps, z) in enumerate(cases):
+        states = [fock.make_state(ops, amps, buffer=8), fock.make_state(ops, amps, z, buffer=8)]
+        want = max(fock.safe_norm_fraction(state, buffer=8) for state in states)
+        assert want > 0.0
+        for report in reports[3 * index:3 * index + 3]:
+            assert report.metadata["tail"] == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize("buffer", [0, 2, 5, 8])
 def test_crosscheck_guards_states_at_the_callers_buffer(space12, buffer):
     cases = [(ModeAmplitudes(1.2, 0.0), None)]
@@ -515,15 +530,16 @@ def test_crosscheck_admits_what_the_callers_buffer_admits(space12):
 
 
 def _count_states(monkeypatch):
-    """The calls of fock's state builder, which every state passes through."""
+    """The states fock's stacked builder fills, which every state passes
+    through: one entry per row of each stack."""
     calls = []
-    real = fock._gaussian_state
+    real = fock._gaussian_states
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(space, rows, *args):
+        calls.extend(rows)
+        return real(space, rows, *args)
 
-    monkeypatch.setattr(fock, "_gaussian_state", counted)
+    monkeypatch.setattr(fock, "_gaussian_states", counted)
     return calls
 
 
@@ -536,7 +552,7 @@ def test_crosscheck_builds_each_state_once(space30, monkeypatch):
     reports = crosscheck_suite(P05, space30, cases)
     assert all(r.passed for r in reports)
     # the vacuum once, one coherent state per case and one squeezed state
-    # per squeezed case
+    # per squeezed case, counted as the rows of the builder's stacks
     assert len(calls) == 1 + 2 * 1 + 2 * 2
 
 
