@@ -2,24 +2,20 @@
 
 The Hilbert space is spanned by |n_a, n_b> with both occupations capped at
 ``cutoff``; index layout is row-major, i = n_a*(cutoff+1) + n_b.  The plane
-operators (x, y, px, py), the deformed pair (a_def, b_def), the ordinary
-pair and the displacement generator are exact linear combinations of the
-ordinary a, a+, b, b+ (taken at the deformed modes' scale), with
-coefficient 4-vectors from inverting the 4x4 map that defines the ordinary
-modes in terms of the plane operators.  Every operator is stored banded
-(OperatorMatrix): a tuple of diagonal offsets and one row of entries per
-offset.  The ladders sit at offsets +-1 and +-(cutoff+1); each space
-caches their weights once, and every linear operator is one coefficient
-times one ladder weight per entry.  Generators are at most quadratic in
-the ladder, so their products and commutators stay a handful of bands,
-and every operation (product, adjoint, sum, matrix-vector product) is a
-few numpy slices per band.  A commutator [L, R] is produced one output
-band at a time (_commutator_bands): its band at offset o sums the band
-pairs p + q = o of LR and of RL, with no product operator formed.  The
-verifier takes each commutator identity, such as one annihilator's image
-[G, m] under the squeeze generator G, from these bands one at a time,
-subtracting the expected band and reading its safe-block max before the
-next.  Every state S D |0_def> is a Gaussian fixed by two annihilators
+operators (x, y, px, py), the deformed pair (a_def, b_def) and the ordinary
+pair are exact linear combinations of the ordinary a, a+, b, b+ (taken at
+the deformed modes' scale), with coefficient 4-vectors (rows) from
+inverting the 4x4 map that defines the ordinary modes in terms of the
+plane operators.  An OperatorMatrix is its space and its row.  The banded
+form its matrix-vector products use (a tuple of diagonal offsets and one
+row of entries per offset) is derived from the row: the ladders sit at
+offsets +-1 and +-(cutoff+1), each space caches their weights once, and
+every entry is one coefficient times one ladder weight.  Adjoints act on
+rows.  No product of operators is formed: the operator identities are
+4x4 algebra on rows, since the commutator of two linear operators is the
+c-number u @ _J @ w, and the squeeze generator G, quadratic in the pair,
+acts on rows as the matrix M of [G, w.L] = (M w).L (_squeeze_action).
+Every state S D |0_def> is a Gaussian fixed by two annihilators
 linear in the ladders, and make_states fills a batch of them by one
 recurrence over stacks of at most 2**16 amplitudes; no exponential of a
 dim x dim operator is formed or applied.
@@ -64,7 +60,6 @@ __all__ = [
     "build_operator_set",
     "check_buffer",
     "check_displacement",
-    "commutator",
     "deformed_vacuum",
     "displacement_op",
     "expectation",
@@ -185,35 +180,51 @@ def _slices(offset: int, dim: int) -> Tuple[slice, slice]:
     return slice(-offset, dim), slice(0, dim + offset)
 
 
-def _merged(space: FockSpace, terms) -> "OperatorMatrix":
-    """The operator whose bands are the sums of the (offset, band) terms that
-    share an offset, with offsets in ascending order."""
-    sums: dict = {}
-    for offset, band in terms:
-        sums[offset] = sums[offset] + band if offset in sums else band
-    offsets = tuple(sorted(sums))
-    bands = np.array([sums[o] for o in offsets], dtype=np.complex128)
-    return OperatorMatrix(space, offsets, bands.reshape(len(offsets), space.dim))
+# the ladder of each band of FockSpace._ladder_bands, as an index into
+# a coefficient 4-vector over (a, a+, b, b+)
+_BAND_LADDER = [1, 3, 2, 0]
+
+
+def _adjoint(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficient 4-vectors (rows) of the adjoints: a <-> a+, b <-> b+, conjugated."""
+    return np.conjugate(coeffs[..., [1, 0, 3, 2]])
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Complex matrix tagged with the space it acts on, in banded form.
+    """The operator row . (a, a+, b, b+) on a truncated space.
 
-    Every engine operator is linear or quadratic in the ladders, so it is a
-    few diagonals at fixed offsets (+-1, +-(cutoff+1) and their pairwise
-    sums).  It is stored as the standard diagonal (DIA) format: ``offsets``
-    is a tuple of distinct offsets in ascending order, and row k of the
+    ``row`` is its coefficient 4-vector over the ordinary ladders; the
+    adjoint is the row's (_adjoint), and the Hermiticity defect is read
+    from the row.  The banded form that matrix-vector products use is
+    derived from the row and the space's cached ladder weights, in the
+    standard diagonal (DIA) format: ``offsets`` holds the ladders' offsets
+    of the non-zero coefficients in ascending order, and row k of the
     (len(offsets), dim) array ``bands`` holds ``M[i, i + offsets[k]]`` at
-    index i, zero where that column falls outside the space or the entry
-    wraps across a row of n_b.  Products, adjoints and sums work band by
-    band with numpy slices.  ``matrix`` is a dense dim x dim array built on
-    each access, for tests and the benchmark's displacement probe only.
+    index i, one coefficient times one ladder weight, zero where that
+    column falls outside the space or the entry wraps across a row of n_b.
+    ``matrix`` is a dense dim x dim array built on each access, for tests
+    and the benchmark's displacement probe only.
     """
 
     space: FockSpace
-    offsets: Tuple[int, ...]
-    bands: np.ndarray
+    row: np.ndarray
+
+    @functools.cached_property
+    def _banded(self) -> Tuple[Tuple[int, ...], np.ndarray]:
+        """(offsets, bands); the band of a zero coefficient is dropped."""
+        offsets, weights = self.space._ladder_bands
+        coeffs = np.asarray(self.row, dtype=np.complex128)[_BAND_LADDER]
+        keep = coeffs != 0.0
+        return tuple(o for o, k in zip(offsets, keep) if k), coeffs[keep, None] * weights[keep]
+
+    @property
+    def offsets(self) -> Tuple[int, ...]:
+        return self._banded[0]
+
+    @property
+    def bands(self) -> np.ndarray:
+        return self._banded[1]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -237,50 +248,20 @@ class OperatorMatrix:
         return diagonals
 
     def dag(self) -> "OperatorMatrix":
-        """Adjoint: the band at offset o becomes the conjugated band at -o,
-        shifted by o, since M+[j, j - o] = conj(M[j - o, j])."""
-        bands = np.zeros_like(self.bands)
-        for k, (_, cols, entries) in enumerate(self._diagonals):
-            bands[k, cols] = np.conjugate(entries)
-        return OperatorMatrix(
-            self.space, tuple(-o for o in reversed(self.offsets)), bands[::-1].copy()
-        )
+        return OperatorMatrix(self.space, _adjoint(self.row))
 
     @functools.cached_property
     def _hermiticity(self) -> Tuple[float, float]:
-        """(max |M - M+|, max(1, max |M|)), computed once: no operator's
-        bands are changed after it is built."""
-        defect = np.abs((self - self.dag()).bands).max(initial=0.0)
-        return float(defect), max(1.0, float(np.abs(self.bands).max(initial=0.0)))
+        """(max |M - M+|, max(1, max |M|)), computed once from the row:
+        M - M+ is (row - adjoint row) . (a, a+, b, b+), and every ladder's
+        weights peak at sqrt(cutoff), so both maxima are a coefficient's
+        size times sqrt(cutoff)."""
+        row, peak = np.asarray(self.row), math.sqrt(self.space.cutoff)
+        defect = float(np.abs(row - _adjoint(row)).max()) * peak
+        return defect, max(1.0, float(np.abs(row).max()) * peak)
 
     def hermiticity_defect(self) -> float:
         return self._hermiticity[0]
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        _check_same_space(self.space, other.space)
-        return _merged(self.space, [*zip(self.offsets, self.bands),
-                                    *zip(other.offsets, other.bands)])
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.offsets, -self.bands)
-
-    def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        if not isinstance(scalar, numbers.Complex):
-            return NotImplemented
-        return OperatorMatrix(self.space, self.offsets, self.bands * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def _product(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """Band by band, from _band_products."""
-        return _merged(self.space, _band_products(self, other))
 
     def _apply(self, block: np.ndarray) -> np.ndarray:
         """M @ block for a vector or a (dim, m) block of columns."""
@@ -290,57 +271,12 @@ class OperatorMatrix:
         return out
 
     def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            _check_same_space(self.space, other.space)
-            return self._product(other)
         if isinstance(other, StateVector):
             _check_same_space(self.space, other.space)
             return StateVector(self.space, self._apply(other.vector))
         if isinstance(other, np.ndarray):
             return self._apply(other)
         return NotImplemented
-
-
-def _identity(space: FockSpace) -> OperatorMatrix:
-    return OperatorMatrix(space, (0,), np.ones((1, space.dim), dtype=np.complex128))
-
-
-def _band_products(a: OperatorMatrix, b: OperatorMatrix):
-    """a @ b one output offset o at a time, in ascending order, as (o, band)
-    with band a new dim-entry array: (ab)[i, i + o] sums a[i, i + p]
-    b[i + p, i + o] over the offsets p of a, in a's order.  Offsets with
-    |o| >= dim fall outside the space and are skipped."""
-    dim = a.space.dim
-    b_bands = dict(zip(b.offsets, b.bands))
-    # scratch for one band pair's term
-    term = np.empty(dim, dtype=np.complex128)
-    for o in sorted({p + q for p in a.offsets for q in b.offsets if abs(p + q) < dim}):
-        acc = np.zeros(dim, dtype=np.complex128)
-        for p, (rows, cols, entries) in zip(a.offsets, a._diagonals):
-            band = b_bands.get(o - p)
-            if band is not None:
-                acc[rows] += np.multiply(entries, band[cols], out=term[rows])
-        yield o, acc
-
-
-def _commutator_bands(left: OperatorMatrix, right: OperatorMatrix):
-    """[left, right] one output offset o at a time, in ascending order, as
-    (o, band) with band a new dim-entry array.
-
-    (LR)_o and (RL)_o come from _band_products, as _product sums them, and
-    are then subtracted, so every entry equals that of left @ right -
-    right @ left, up to the sign of a zero; no product operator is formed.
-    LR and RL have the same offsets, so the two streams stay in step.
-    """
-    _check_same_space(left.space, right.space)
-    for (o, band), (_, reverse) in zip(_band_products(left, right), _band_products(right, left)):
-        band -= reverse
-        yield o, band
-
-
-def commutator(left: OperatorMatrix, right: OperatorMatrix) -> OperatorMatrix:
-    """[left, right], merged from _commutator_bands."""
-    return _merged(left.space, _commutator_bands(left, right))
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,29 +303,6 @@ def basis_state(space: FockSpace, n_a: int, n_b: int) -> StateVector:
     vec = np.zeros(space.dim, dtype=np.complex128)
     vec[space.index_of(n_a, n_b)] = 1.0
     return StateVector(space, vec)
-
-
-# the ladder of each band of FockSpace._ladder_bands, as an index into
-# a coefficient 4-vector over (a, a+, b, b+)
-_BAND_LADDER = [1, 3, 2, 0]
-
-
-def _from_coefficients(space: FockSpace, coeffs: np.ndarray) -> OperatorMatrix:
-    """sum_k coeffs[k] L_k over (a, a+, b, b+), one coefficient times one
-    ladder weight per entry; the band of a zero coefficient is dropped."""
-    offsets, weights = space._ladder_bands
-    coeffs = np.asarray(coeffs, dtype=np.complex128)[_BAND_LADDER]
-    keep = coeffs != 0.0
-    return OperatorMatrix(
-        space,
-        tuple(o for o, k in zip(offsets, keep) if k),
-        coeffs[keep, None] * weights[keep],
-    )
-
-
-def _adjoint(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficient 4-vectors (rows) of the adjoints: a <-> a+, b <-> b+, conjugated."""
-    return np.conjugate(coeffs[..., [1, 0, 3, 2]])
 
 
 # rows: the coefficient 4-vectors of a, a+, b and b+ themselves
@@ -463,20 +376,11 @@ class OperatorSet:
     b_def: OperatorMatrix
     coeffs: np.ndarray
 
-    @functools.cached_property
-    def pair_annihilator(self) -> OperatorMatrix:
-        """a_def @ b_def, cached: it anchors every squeeze generator."""
-        return self.a_def @ self.b_def
-
-    @functools.cached_property
-    def pair_creator(self) -> OperatorMatrix:
-        return self.pair_annihilator.dag()
-
 
 def build_operator_set(params: NcParams, space: FockSpace) -> OperatorSet:
     coeffs = _ladder_coefficients(params)
     x, y, px, py, a_def, b_def, a_ord, b_ord = (
-        _from_coefficients(space, row) for row in (*coeffs, _UNIT[0], _UNIT[2])
+        OperatorMatrix(space, row) for row in (*coeffs, _UNIT[0], _UNIT[2])
     )
     return OperatorSet(
         space=space, params=params, a_ord=a_ord, b_ord=b_ord,
@@ -493,21 +397,13 @@ def _displacement_row(ops: OperatorSet, amps: ModeAmplitudes) -> np.ndarray:
             - np.conjugate(alpha) * a_row - np.conjugate(beta) * b_row)
 
 
-def _displacement_generator(ops: OperatorSet, amps: ModeAmplitudes) -> OperatorMatrix:
-    return _from_coefficients(ops.space, _displacement_row(ops, amps))
-
-
-def _squeeze_generator(ops: OperatorSet, z: SqueezeParam) -> OperatorMatrix:
-    zc = z.z
-    return np.conjugate(zc) * ops.pair_annihilator - zc * ops.pair_creator
-
-
-def check_displacement(ops: OperatorSet, amps: ModeAmplitudes, buffer: int) -> None:
-    """Refuse with PopulationOverflow a displacement whose mean occupation
-    in the engine's basis, |<a>|**2 + |<b>|**2 over its ordinary modes
-    (the generator's a+ and b+ weights), exceeds cutoff - buffer: the
-    state cannot fit, and a large enough one overflows its generator, or
-    its amplitudes to NaN in make_state's recurrence."""
+def check_displacement(ops: OperatorSet, amps: ModeAmplitudes, buffer: int) -> np.ndarray:
+    """The displacement generator's row (_displacement_row), once its mean
+    occupation is admitted: refuse with PopulationOverflow a displacement
+    whose mean occupation in the engine's basis, |<a>|**2 + |<b>|**2 over
+    its ordinary modes (the row's a+ and b+ weights), exceeds
+    cutoff - buffer.  The state cannot fit, and a large enough one
+    overflows its amplitudes to NaN in make_state's recurrence."""
     row = _displacement_row(ops, amps)
     # Python floats: the square overflows to inf, without a warning
     mean = math.hypot(abs(row[1]), abs(row[3]))
@@ -517,6 +413,7 @@ def check_displacement(ops: OperatorSet, amps: ModeAmplitudes, buffer: int) -> N
             f"{mean * mean:.3e} exceeds cutoff {ops.space.cutoff} minus buffer {buffer}; "
             "increase the cutoff"
         )
+    return row
 
 
 def _refuse_large_squeeze(z: Optional[SqueezeParam]) -> None:
@@ -657,17 +554,29 @@ def deformed_vacuum(ops: OperatorSet) -> StateVector:
     return StateVector(ops.space, vector)
 
 
+def _squeeze_terms(ops: OperatorSet, z: SqueezeParam):
+    """The squeeze generator G = conj(z) a_def b_def - z a_def+ b_def+ as
+    its terms (c, x, y), each c X Y with x and y the rows of X and Y."""
+    a_row, b_row = ops.coeffs[4:]
+    return ((np.conjugate(z.z), a_row, b_row), (-z.z, _adjoint(a_row), _adjoint(b_row)))
+
+
+def _squeeze_action(terms) -> np.ndarray:
+    """The 4x4 M of [G, w.L] = (M w).L, for G the sum of the terms c X Y:
+    [XY, W] = X[Y, W] + [X, W]Y, and each bracket is a c-number (_J)."""
+    return sum(c * (np.outer(x, y @ _J) + np.outer(y, x @ _J)) for c, x, y in terms)
+
+
 def _squeezed_rows(ops: OperatorSet, rows: np.ndarray, g: np.ndarray, z: SqueezeParam):
     """(rows of S A S+, Im log(<0,0|S psi> / <0,0|psi>)) for the annihilators
     A = rows . (a, a+, b, b+) - g of psi, S = exp(G), G = conj(z) a_def b_def
-    - z a_def+ b_def+.  [G, w.L] = (M w).L, with M from the rows of a_def and
-    b_def by [XY, W] = X[Y, W] + [X, W]Y, so S A S+ has rows @ exp(M)^T and
-    the same g.  d log <0,0|exp(tG) psi> / dt is G's normal-ordering
-    constant plus sum_ij A_ij (L_t + l_t l_t^T)_ij, A its a_i a_j part and
-    (L_t, l_t) from _pair_data at t, integrated by the 16-node rule."""
-    a_row, b_row = ops.coeffs[4:]
-    terms = ((np.conjugate(z.z), a_row, b_row), (-z.z, _adjoint(a_row), _adjoint(b_row)))
-    action = sum(c * (np.outer(x, y @ _J) + np.outer(y, x @ _J)) for c, x, y in terms)
+    - z a_def+ b_def+.  [G, w.L] = (M w).L, with M from _squeeze_action,
+    so S A S+ has rows @ exp(M)^T and the same g.  d log <0,0|exp(tG) psi>
+    / dt is G's normal-ordering constant plus sum_ij A_ij (L_t + l_t l_t^T)_ij,
+    A its a_i a_j part and (L_t, l_t) from _pair_data at t, integrated by
+    the 16-node rule."""
+    terms = _squeeze_terms(ops, z)
+    action = _squeeze_action(terms)
     constant = sum(c * (x[0] * y[1] + x[2] * y[3]) for c, x, y in terms)
     lowering = sum(c * np.outer(x[[0, 2]], y[[0, 2]]) for c, x, y in terms)
     flows = _expm(np.append(_NODES, 1.0)[:, None, None] * action)
@@ -688,8 +597,7 @@ def _gaussian_data(ops: OperatorSet, vacuum_pair: np.ndarray, amps, z, buffer: i
     g = np.zeros(2, dtype=np.complex128)
     phase = 0.0
     if amps is not None and (amps.alpha != 0.0 or amps.beta != 0.0):
-        check_displacement(ops, amps, buffer)
-        row = _displacement_row(ops, amps)
+        row = check_displacement(ops, amps, buffer)
         g = rows @ _J @ row
         ann, cre = row[[0, 2]], row[[1, 3]]
         phase = float((cre @ ann + ann @ vacuum_pair @ ann).imag) / 2.0

@@ -2,12 +2,16 @@
 
 Three families of evidence that the two sides describe the same physics:
 
-* identity checks: commutator residuals, the displacement shift property
-  (as its c-number commutator) and the deformed Bogoliubov transformation
-  (as the commutators of the squeeze generator with each annihilator,
-  against their closed forms), measured directly on matrices over the
-  safe subspace, where a single commutator is exact and a conjugation is
-  not; they build no state;
+* identity checks, computed on coefficient rows: every operator they
+  check is linear in the ordinary ladders, so the commutator of two is
+  the c-number u @ _J @ w of their rows, and the squeeze generator's
+  commutator with one is the row its 4x4 action gives.  So the
+  commutation relations, the displacement shift property (as its
+  c-number commutator) and the deformed Bogoliubov transformation (as the
+  commutators of the squeeze generator with each annihilator, against
+  their closed forms) are exact 4x4 algebra, which is what the truncated
+  ladders obey on the safe subspace; they build no state and form no
+  operator;
 * state crosschecks, which build every state: the eigenvalue relations of
   each coherent state, and overlaps and quadrature variances of concrete
   states, engine versus closed form;
@@ -43,14 +47,12 @@ from .fock import (
     OperatorMatrix,
     OperatorSet,
     SpaceMismatch,
+    _J,
+    _UNIT,
     _adjoint,
-    _commutator_bands,
-    _displacement_generator,
-    _from_coefficients,
-    _identity,
     _refuse_large_squeeze,
-    _slices,
-    _squeeze_generator,
+    _squeeze_action,
+    _squeeze_terms,
     build_operator_set,
     check_buffer,
     check_displacement,
@@ -192,101 +194,81 @@ def _params_meta(params: NcParams, space: FockSpace, buffer: int) -> Dict[str, o
     }
 
 
-def _safe_mask(space: FockSpace, buffer: int) -> np.ndarray:
-    """Whether each index has total occupation <= cutoff - buffer; never
-    all false, because check_buffer refuses a buffer outside [0, cutoff]."""
-    check_buffer(space, buffer)
-    return space.n_tot <= space.cutoff - buffer
-
-
-def _bands_safe_max(safe: np.ndarray, bands) -> float:
-    """Max magnitude over the (offset, band) pairs' entries whose row and
-    column are both safe; a NaN in any band reads NaN."""
-    worst = 0.0
-    for offset, band in bands:
-        rows, cols = _slices(offset, safe.size)
-        worst = np.maximum(worst, np.abs(band[rows][safe[rows] & safe[cols]]).max(initial=0.0))
-    return float(worst)
-
-
-def _safe_block_max(space: FockSpace, op: OperatorMatrix, buffer: int) -> float:
-    """Max magnitude over entries whose row and column are both safe."""
-    return _bands_safe_max(_safe_mask(space, buffer), zip(op.offsets, op.bands))
+def _nan_max(values) -> float:
+    """The largest of values, and NaN if any is NaN: Python's max keeps a
+    NaN only when it comes first."""
+    return float(np.max(np.array(values, dtype=float)))
 
 
 _QUADRATURE_NAMES = ("dx2", "dy2", "dpx2", "dpy2", "dX2", "dP2")
 
 
+def _quadrature_rows(ops: OperatorSet) -> np.ndarray:
+    """The rows of x, y, px, py and the collective X = (x + y)/2 and
+    P = (px + py)/2, in _QUADRATURE_NAMES order."""
+    x, y, px, py = ops.coeffs[:4]
+    return np.array([x, y, px, py, 0.5 * (x + y), 0.5 * (px + py)])
+
+
 def _quadratures(ops: OperatorSet) -> Dict[str, OperatorMatrix]:
-    """x, y, px, py and the collective X = (x + y)/2, P = (px + py)/2,
-    keyed by the names of their variances in _QUADRATURE_NAMES order."""
-    x, y, px, py = ops.x, ops.y, ops.px, ops.py
-    return dict(zip(_QUADRATURE_NAMES, (x, y, px, py, 0.5 * (x + y), 0.5 * (px + py))))
-
-
-def _commutator_residual(
-    left: OperatorMatrix, right: OperatorMatrix, want: OperatorMatrix, buffer: int
-) -> float:
-    """Safe-block max of [left, right] - want, taken one output band at a
-    time: want's band at each offset is subtracted from the commutator's,
-    and the difference dropped before the next band, so no product,
-    commutator or difference operator is formed."""
-    wants = dict(zip(want.offsets, want.bands))
-
-    def differences():
-        for offset, band in _commutator_bands(left, right):
-            if offset in wants:
-                band -= wants.pop(offset)
-            yield offset, band
-        # want's offsets that the commutator lacks
-        yield from wants.items()
-
-    return _bands_safe_max(_safe_mask(left.space, buffer), differences())
+    """The operators of _quadrature_rows, keyed by the names of their
+    variances."""
+    return {name: OperatorMatrix(ops.space, row)
+            for name, row in zip(_QUADRATURE_NAMES, _quadrature_rows(ops))}
 
 
 def algebra_residuals(
     ops: OperatorSet, buffer: int = DEFAULT_BUFFER
 ) -> Dict[str, float]:
-    """Safe-subspace residuals of every defining commutation relation,
-    each divided by min(1, size), with size the scale of the terms the
-    relation sums: mu for [x, y], nu for [px, py], hbar for [x, px],
-    [y, py] and [X, P], max(mu, nu) for [x, py] and [y, px] (zero by
-    cancellation of mu- and nu-sized terms), and 1 for the dimensionless
-    boson algebras.  Below 1 a residual is so read relative to its own
-    relation, and a small scale cannot pass vacuously; at sizes >= 1 the
-    divisor is exactly 1."""
+    """Residuals of every defining commutation relation, each divided by
+    min(1, size), with size the scale of the terms the relation sums: mu
+    for [x, y], nu for [px, py], hbar for [x, px], [y, py] and [X, P],
+    max(mu, nu) for [x, py] and [y, px] (zero by cancellation of mu- and
+    nu-sized terms), and 1 for the dimensionless boson algebras.  Below 1
+    a residual is so read relative to its own relation, and a small scale
+    cannot pass vacuously; at sizes >= 1 the divisor is exactly 1.
+
+    Every operator here is u . (a, a+, b, b+) for a row u, so [u.L, w.L]
+    is the c-number u @ _J @ w, and a relation [U, W] = lam reads
+    |u @ _J @ w - lam|.  That is exact on the safe subspace (total
+    occupation <= cutoff - buffer), where the truncated ladders obey
+    [a, a+] = [b, b+] = 1; at the truncation edge they do not, which no
+    relation of the algebra is about.  Refuses a buffer outside
+    [0, cutoff] with BufferOutOfRange.
+    """
+    check_buffer(ops.space, buffer)
     p = ops.params
-    quads = _quadratures(ops)
+    x, y, px, py, big_x, big_p = _quadrature_rows(ops)
+    a, b = ops.coeffs[4:]
+    a_ord, b_ord = _UNIT[0], _UNIT[2]
     relations = {
-        "xy": (ops.x, ops.y, 1j * p.mu, p.mu),
-        "pxpy": (ops.px, ops.py, 1j * p.nu, p.nu),
-        "xpx": (ops.x, ops.px, 1j * p.hbar, p.hbar),
-        "ypy": (ops.y, ops.py, 1j * p.hbar, p.hbar),
-        "xpy": (ops.x, ops.py, 0.0, max(p.mu, p.nu)),
-        "ypx": (ops.y, ops.px, 0.0, max(p.mu, p.nu)),
-        "a_adag": (ops.a_def, ops.a_def.dag(), 1.0, 1.0),
-        "b_bdag": (ops.b_def, ops.b_def.dag(), 1.0, 1.0),
-        "ab": (ops.a_def, ops.b_def, 0.0, 1.0),
-        "a_bdag": (ops.a_def, ops.b_def.dag(), 1j * p.theta, 1.0),
-        "b_adag": (ops.b_def, ops.a_def.dag(), -1j * p.theta, 1.0),
-        "ord_a_adag": (ops.a_ord, ops.a_ord.dag(), 1.0, 1.0),
-        "ord_b_bdag": (ops.b_ord, ops.b_ord.dag(), 1.0, 1.0),
-        "ord_ab": (ops.a_ord, ops.b_ord, 0.0, 1.0),
-        "ord_a_bdag": (ops.a_ord, ops.b_ord.dag(), 0.0, 1.0),
-        "XP": (quads["dX2"], quads["dP2"], 0.5j * p.hbar, p.hbar),
+        "xy": (x, y, 1j * p.mu, p.mu),
+        "pxpy": (px, py, 1j * p.nu, p.nu),
+        "xpx": (x, px, 1j * p.hbar, p.hbar),
+        "ypy": (y, py, 1j * p.hbar, p.hbar),
+        "xpy": (x, py, 0.0, max(p.mu, p.nu)),
+        "ypx": (y, px, 0.0, max(p.mu, p.nu)),
+        "a_adag": (a, _adjoint(a), 1.0, 1.0),
+        "b_bdag": (b, _adjoint(b), 1.0, 1.0),
+        "ab": (a, b, 0.0, 1.0),
+        "a_bdag": (a, _adjoint(b), 1j * p.theta, 1.0),
+        "b_adag": (b, _adjoint(a), -1j * p.theta, 1.0),
+        "ord_a_adag": (a_ord, _adjoint(a_ord), 1.0, 1.0),
+        "ord_b_bdag": (b_ord, _adjoint(b_ord), 1.0, 1.0),
+        "ord_ab": (a_ord, b_ord, 0.0, 1.0),
+        "ord_a_bdag": (a_ord, _adjoint(b_ord), 0.0, 1.0),
+        "XP": (big_x, big_p, 0.5j * p.hbar, p.hbar),
     }
-    eye = _identity(ops.space)
-    return {key: _commutator_residual(left, right, lam * eye, buffer) / min(1.0, size)
-            for key, (left, right, lam, size) in relations.items()}
+    return {key: float(abs(u @ _J @ w - lam)) / min(1.0, size)
+            for key, (u, w, lam, size) in relations.items()}
 
 
-def _mode_image(ops: OperatorSet, image: analytic.ModeTransform) -> OperatorMatrix:
-    """image's combination of (a_def, b_def, b_def+, a_def+), built from the
-    coefficient rows of a_def and b_def."""
+def _mode_image(ops: OperatorSet, image: analytic.ModeTransform) -> np.ndarray:
+    """The row over (a, a+, b, b+) of image's combination of
+    (a_def, b_def, b_def+, a_def+), from the rows of a_def and b_def."""
     a_row, b_row = ops.coeffs[4:]
-    row = (image.c_a * a_row + image.c_b * b_row
-           + image.c_bdag * _adjoint(b_row) + image.c_adag * _adjoint(a_row))
-    return _from_coefficients(ops.space, row)
+    return (image.c_a * a_row + image.c_b * b_row
+            + image.c_bdag * _adjoint(b_row) + image.c_adag * _adjoint(a_row))
 
 
 def _squeeze_commutator_residual(
@@ -298,15 +280,21 @@ def _squeeze_commutator_residual(
     These commutators generate the Bogoliubov transformation, so they
     check it at any squeeze strength, exactly on the safe block, where a
     conjugation by exp(G) would carry reflected truncation error.  The
-    creators need no check of their own: the engine's G satisfies
-    G+ = -G exactly, so [G, m+] = ([G, m])+.
+    creators need no check of their own: G+ = -G, so [G, m+] = ([G, m])+.
+    [G, m] is the row M @ row_m, M the engine's 4x4 action of G
+    (fock._squeeze_action), so [G, m] - want_m is d.L with
+    d = M @ row_m - row(want_m).  Each ladder's weights peak at
+    sqrt(cutoff - buffer) on the safe block (total occupation
+    <= cutoff - buffer), so its safe-block max is
+    max_k |d_k| * sqrt(cutoff - buffer); a NaN in any row reads NaN.
+    Refuses a buffer outside [0, cutoff] with BufferOutOfRange.
     """
-    gen = _squeeze_generator(ops, z)
+    check_buffer(ops.space, buffer)
+    action = _squeeze_action(_squeeze_terms(ops, z))
     want = analytic.squeeze_commutators(ops.params, z)
-    return max(
-        _commutator_residual(gen, mode, _mode_image(ops, image), buffer)
-        for mode, image in ((ops.a_def, want.mode_a), (ops.b_def, want.mode_b))
-    )
+    images = np.array([_mode_image(ops, want.mode_a), _mode_image(ops, want.mode_b)])
+    defect = np.abs(ops.coeffs[4:] @ action.T - images).max()
+    return float(defect) * math.sqrt(ops.space.cutoff - buffer)
 
 
 # identity class -> the algebra_residuals entries it reports
@@ -327,23 +315,23 @@ def identity_suite(
 
     Classes: the phase-plane commutators, the deformed and ordinary boson
     algebras, the displacement shift property, the deformed Bogoliubov
-    transformation and the collective-quadrature commutator.  The shift
-    D+ m D = m + lambda_m holds exactly because [m, G] = lambda_m is a
-    c-number for the displacement generator G, so it is checked as that
-    commutator on the safe block.  The Bogoliubov transformation S m S+ is
-    the flow of one annihilator's image [G, m] under the squeeze generator
-    G, so it is checked as that commutator against squeeze_commutators, on
-    the safe block, for m = a_def and b_def.  The suite builds no state:
-    the eigenvalue relations are crosscheck_suite's.  Every residual is
-    taken one output band of its commutator at a time, so the suite forms
-    no product or commutator operator.  The commutator residuals are
-    algebra_residuals', each relative to its own relation below size 1.
-    Refuses a buffer
-    outside [0, cutoff] with BufferOutOfRange, and a squeeze beyond
-    make_state's bound with SqueezeTooLargeForCutoff, before computing
-    anything; refuses a displacement whose mean occupation exceeds the
-    cutoff with make_state's PopulationOverflow before building its
-    generator.
+    transformation and the collective-quadrature commutator.  Every
+    residual is 4x4 algebra on the operators' coefficient rows over
+    (a, a+, b, b+), exact on the safe block (total occupation
+    <= cutoff - buffer); the suite builds no state and forms no operator.
+    The commutator residuals are algebra_residuals', each relative to its
+    own relation below size 1.  The shift D+ m D = m + lambda_m holds
+    exactly because [m, G] = lambda_m is a c-number for the displacement
+    generator G, so it reads |row_m @ _J @ d - lambda_m|, with d the
+    generator's row.  The Bogoliubov transformation S m S+ is the flow of
+    one annihilator's image [G, m] under the squeeze generator G, so it is
+    checked as that commutator against squeeze_commutators, for m = a_def
+    and b_def (_squeeze_commutator_residual).  The eigenvalue relations
+    are crosscheck_suite's.  A NaN in any row makes its report fail.
+    Refuses a buffer outside [0, cutoff] with BufferOutOfRange, and a
+    squeeze beyond make_state's bound with SqueezeTooLargeForCutoff,
+    before computing anything; refuses a displacement whose mean
+    occupation exceeds the cutoff with make_state's PopulationOverflow.
     """
     params, space = ops.params, ops.space
     check_buffer(space, buffer)
@@ -351,21 +339,18 @@ def identity_suite(
     meta = _params_meta(params, space, buffer)
     resids = algebra_residuals(ops, buffer)
     reports = [
-        _report(check_id, max(resids[k] for k in keys), COMMUTATOR_TOL, **meta)
+        _report(check_id, _nan_max([resids[k] for k in keys]), COMMUTATOR_TOL, **meta)
         for check_id, keys in _ALGEBRA_CLASSES.items()
     ]
 
-    lam_a, lam_b = analytic.coherent_eigenvalues(params, amps)
     # the suite builds no state, so it refuses only a displacement the
-    # cutoff itself cannot hold, before its generator can overflow
-    check_displacement(ops, amps, 0)
-    gen = _displacement_generator(ops, amps)
-    eye = _identity(space)
+    # cutoff itself cannot hold; the refusal and the residual share the row
+    shift = check_displacement(ops, amps, 0)
+    lams = analytic.coherent_eigenvalues(params, amps)
     reports.append(
         _report(
             "displacement_property",
-            max(_commutator_residual(ops.a_def, gen, lam_a * eye, buffer),
-                _commutator_residual(ops.b_def, gen, lam_b * eye, buffer)),
+            _nan_max([abs(row @ _J @ shift - lam) for row, lam in zip(ops.coeffs[4:], lams)]),
             OPERATOR_TOL,
             alpha=str(amps.alpha),
             beta=str(amps.beta),

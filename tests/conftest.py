@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, eye_array
 from scipy.sparse.linalg import expm_multiply
 
-from ncsq import ModeTransform, make_space, squeeze_commutators
-from ncsq.fock import _squeeze_generator
+from ncsq import ModeTransform, analytic, make_space, squeeze_commutators
 
 
 def ulp_between(a: float, b: float) -> float:
@@ -36,6 +35,93 @@ def to_csr(op):
                      shape=(dim, dim), dtype=np.complex128)
 
 
+# ---------------------------------------------------------------------------
+# the banded oracle: commutators as scipy products of the engine's matrices
+
+
+def squeeze_generator_csr(ops, z):
+    """G = conj(z) a_def b_def - z a_def+ b_def+ as a scipy product of the
+    engine's truncated a_def and b_def, the creator pair its adjoint."""
+    pair = to_csr(ops.a_def) @ to_csr(ops.b_def)
+    return np.conjugate(z.z) * pair - z.z * pair.conj().T
+
+
+def displacement_generator_csr(a_def, b_def, amps):
+    """alpha a_def+ + beta b_def+ - conj(alpha) a_def - conj(beta) b_def,
+    summed by scipy from the given sparse a_def and b_def."""
+    alpha, beta = amps.alpha, amps.beta
+    return (alpha * a_def.conj().T + beta * b_def.conj().T
+            - np.conjugate(alpha) * a_def - np.conjugate(beta) * b_def)
+
+
+def safe_block_max(space, matrix, buffer):
+    """Max magnitude over the stored entries of a scipy sparse matrix whose
+    row and column both have total occupation <= cutoff - buffer; NaN if
+    any of them is NaN."""
+    safe = space.n_tot <= space.cutoff - buffer
+    coo = matrix.tocoo()
+    return float(np.max(np.abs(coo.data[safe[coo.row] & safe[coo.col]]), initial=0.0))
+
+
+def commutator_residual(space, left, right, want, buffer):
+    """Safe-block max of [left, right] - want, the commutator formed by
+    scipy products; want is a c-number (times the identity) or a sparse
+    matrix."""
+    if np.isscalar(want):
+        want = want * eye_array(space.dim, dtype=np.complex128)
+    return safe_block_max(space, left @ right - right @ left - want, buffer)
+
+
+def _image_csr(a_def, b_def, image):
+    """image's combination of (a_def, b_def, b_def+, a_def+)."""
+    return (image.c_a * a_def + image.c_b * b_def
+            + image.c_bdag * b_def.conj().T + image.c_adag * a_def.conj().T)
+
+
+def oracle_identity_residuals(ops, amps, z, buffer):
+    """The residuals algebra_residuals and identity_suite report, read by
+    the banded oracle: each relation's safe-block max from scipy products
+    of the engine's truncated operators (over min(1, size), as
+    algebra_residuals scales them), displacement_property from the
+    commutators of a_def and b_def with the displacement generator, and
+    bogoliubov from those of the squeeze generator with each annihilator.
+    Truncation shows only within buffer quanta of the cutoff: at buffer 0
+    the algebra reads the edge, where [a, a+] = -cutoff on |cutoff, n_b>."""
+    p, space = ops.params, ops.space
+    x, y, px, py, a, b, a_ord, b_ord = (to_csr(getattr(ops, name)) for name in (
+        "x", "y", "px", "py", "a_def", "b_def", "a_ord", "b_ord"))
+    relations = {
+        "xy": (x, y, 1j * p.mu, p.mu),
+        "pxpy": (px, py, 1j * p.nu, p.nu),
+        "xpx": (x, px, 1j * p.hbar, p.hbar),
+        "ypy": (y, py, 1j * p.hbar, p.hbar),
+        "xpy": (x, py, 0.0, max(p.mu, p.nu)),
+        "ypx": (y, px, 0.0, max(p.mu, p.nu)),
+        "a_adag": (a, a.conj().T, 1.0, 1.0),
+        "b_bdag": (b, b.conj().T, 1.0, 1.0),
+        "ab": (a, b, 0.0, 1.0),
+        "a_bdag": (a, b.conj().T, 1j * p.theta, 1.0),
+        "b_adag": (b, a.conj().T, -1j * p.theta, 1.0),
+        "ord_a_adag": (a_ord, a_ord.conj().T, 1.0, 1.0),
+        "ord_b_bdag": (b_ord, b_ord.conj().T, 1.0, 1.0),
+        "ord_ab": (a_ord, b_ord, 0.0, 1.0),
+        "ord_a_bdag": (a_ord, b_ord.conj().T, 0.0, 1.0),
+        "XP": (0.5 * (x + y), 0.5 * (px + py), 0.5j * p.hbar, p.hbar),
+    }
+    out = {key: commutator_residual(space, left, right, lam, buffer) / min(1.0, size)
+           for key, (left, right, lam, size) in relations.items()}
+    gen = displacement_generator_csr(a, b, amps)
+    out["displacement_property"] = max(
+        commutator_residual(space, mode, gen, lam, buffer)
+        for mode, lam in zip((a, b), analytic.coherent_eigenvalues(p, amps)))
+    gen = squeeze_generator_csr(ops, z)
+    want = analytic.squeeze_commutators(p, z)
+    out["bogoliubov"] = max(
+        commutator_residual(space, gen, mode, _image_csr(a, b, image), buffer)
+        for mode, image in ((a, want.mode_a), (b, want.mode_b)))
+    return out
+
+
 @pytest.fixture(scope="session")
 def space12():
     return make_space(12)
@@ -59,7 +145,7 @@ def squeeze_conjugated_block(ops, z, op, idx):
     the block's rows are kept.  This is the dense conjugation's block, up
     to rounding, without a dense matrix exponential.
     """
-    gen = to_csr(_squeeze_generator(ops, z))
+    gen = squeeze_generator_csr(ops, z)
     cols = np.zeros((ops.space.dim, idx.size), dtype=np.complex128)
     cols[idx, np.arange(idx.size)] = 1.0
     cols = expm_multiply(gen, to_csr(op) @ expm_multiply(-gen, cols))
@@ -71,7 +157,7 @@ def squeezed_eigen_residual(ops, z, vec, lam_a, lam_b):
     S = exp(G) the squeeze applied as S+, then m, then S by expm_multiply:
     the eigenvalue relation of a squeezed state vec = S|coh>, checked
     through the round trip rather than on |coh> itself."""
-    gen = to_csr(_squeeze_generator(ops, z))
+    gen = squeeze_generator_csr(ops, z)
     unsqueezed = expm_multiply(-gen, vec)
     return max(
         float(np.linalg.norm(expm_multiply(gen, to_csr(mode) @ unsqueezed) - lam * vec))

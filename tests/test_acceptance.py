@@ -15,6 +15,7 @@ import pytest
 from conftest import fit_mode_block, squeeze_conjugated_block, squeeze_flow, ulp_between
 from ncsq import (
     ModeAmplitudes,
+    OperatorMatrix,
     SqueezeParam,
     algebra_residuals,
     bogoliubov_coefficients,
@@ -178,8 +179,10 @@ def test_ac4_variance_formulas(crosschecks):
     params = make_params(0.5, 0.5, 1.0)
     ops = build_operator_set(params, space)
     z = SqueezeParam(0.3, math.pi / 4)
+    x, y, px, py = ops.coeffs[:4]
     quads = {"dx2": ops.x, "dy2": ops.y, "dpx2": ops.px, "dpy2": ops.py,
-             "dX2": 0.5 * (ops.x + ops.y), "dP2": 0.5 * (ops.px + ops.py)}
+             "dX2": OperatorMatrix(space, 0.5 * (x + y)),
+             "dP2": OperatorMatrix(space, 0.5 * (px + py))}
     tracked = {name: [] for name in quads}
     for alpha, beta in ((0.0, 0.0), (0.5, 0.2j), (-0.4 + 0.3j, 0.6)):
         state = make_state(ops, ModeAmplitudes(alpha, beta), z)

@@ -341,6 +341,20 @@ def test_check_at_small_mu_and_nu_with_unit_hbar(capsys, scale):
         assert by_id[check_id]["residual"] < 1e-12
 
 
+@pytest.mark.parametrize("cutoff", ["40", "200"])
+def test_check_at_buffer_zero_reads_the_algebra_not_the_edge(capsys, cutoff):
+    # the identity rows are the algebra of the coefficient rows, which the
+    # truncation edge does not enter: at buffer 0 they read rounding (the
+    # truncated ladders' edge read 10 to 41 at cutoff 40, and 50 to 210 at
+    # cutoff 200, and failed the run)
+    code, _, rows = run_ndjson(capsys, ["check", "--mu", "0.5", "--nu", "0.5",
+                                        "--cutoff", cutoff, "--buffer", "0"])
+    assert code == 0
+    identity = [row for row in rows if "[" not in row["check_id"]]
+    assert len(identity) == 6
+    assert all(row["passed"] and row["residual"] < 1e-13 for row in identity)
+
+
 def test_check_bad_cutoff_exits_two(capsys):
     assert run(["check", "--mu", "0.5", "--nu", "0.5", "--cutoff", "0"]) == 2
     assert run(["check", "--mu", "0.5", "--nu", "0.5", "--cutoff", "999"]) == 2

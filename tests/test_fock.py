@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array, diags_array, eye_array, kron
 
-from conftest import squeezed_eigen_residual, to_csr
+from conftest import (
+    commutator_residual,
+    displacement_generator_csr,
+    safe_block_max,
+    squeeze_generator_csr,
+    squeezed_eigen_residual,
+    to_csr,
+)
 
 from ncsq import (
     BufferOutOfRange,
@@ -32,7 +39,6 @@ from ncsq import (
     basis_state,
     build_operator_set,
     coherent_eigenvalues,
-    commutator,
     deformed_vacuum,
     displacement_op,
     expectation,
@@ -44,7 +50,6 @@ from ncsq import (
 )
 import ncsq
 from ncsq import fock, verifier
-from ncsq.fock import _displacement_generator, _squeeze_generator
 
 P05 = make_params(0.5, 0.5, 1.0)
 
@@ -102,8 +107,8 @@ def test_ordinary_ladder_elements(space12):
 
 
 def test_ordinary_commutator_sees_truncation_only_at_edge(space12):
-    a = build_operator_set(P05, space12).a_ord
-    comm = commutator(a, a.dag()).matrix - np.eye(space12.dim)
+    a = to_csr(build_operator_set(P05, space12).a_ord)
+    comm = (a @ a.conj().T - a.conj().T @ a).toarray() - np.eye(space12.dim)
     # sqrt(n+1)^2 - n rounds at the last bit, so near-zero rather than zero;
     # the only structural artifact is the last per-mode level, where the
     # truncated a+ drops the outgoing amplitude and the diagonal reads
@@ -111,6 +116,12 @@ def test_ordinary_commutator_sees_truncation_only_at_edge(space12):
     assert _safe_max(space12, comm, buffer=1) < 1e-13
     edge = space12.index_of(space12.cutoff, 0)
     assert comm[edge, edge] == pytest.approx(-(space12.cutoff + 1.0))
+    # the oracle's safe-block max reads that edge at buffer 0, and the
+    # coefficient route, which holds the algebra and not its truncation,
+    # does not
+    assert commutator_residual(space12, a, a.conj().T, 1.0, 0) == pytest.approx(
+        space12.cutoff + 1.0)
+    assert verifier.algebra_residuals(build_operator_set(P05, space12), 0)["ord_a_adag"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +204,11 @@ def test_banded_operators_match_dense_solve(theta, space12):
     # from the kron ladders; only displacement_op's unitary is dense, the
     # Kronecker product of two single-mode exponentials
     want = _kron_references(ops)
-    z = SqueezeParam(0.3, 0.9)
-    pair = want["a_def"] @ want["b_def"]
-    want["pair_annihilator"] = pair
-    want["pair_creator"] = pair.conj().T
-    want["squeeze generator"] = np.conjugate(z.z) * pair - z.z * pair.conj().T
     amps = ModeAmplitudes(0.4, 0.3j)
-    want["displacement generator"] = _oracle_generator(want, amps)
+    want["displacement generator"] = displacement_generator_csr(
+        want["a_def"], want["b_def"], amps)
     engine = {name: getattr(ops, name) for name in want if hasattr(ops, name)}
-    engine["displacement generator"] = _displacement_generator(ops, amps)
-    engine["squeeze generator"] = _squeeze_generator(ops, z)
+    engine["displacement generator"] = OperatorMatrix(space12, fock._displacement_row(ops, amps))
     assert engine.keys() == want.keys()
     for name, op in engine.items():
         assert isinstance(op, OperatorMatrix) and op.bands.shape == (
@@ -234,15 +240,6 @@ def _kron_references(ops):
     return refs
 
 
-def _oracle_generator(refs, amps):
-    """The displacement generator as a scipy sum of the scaled references
-    of a_def and b_def and their adjoints."""
-    alpha, beta = amps.alpha, amps.beta
-    a_def, b_def = refs["a_def"], refs["b_def"]
-    return (alpha * a_def.conj().T + beta * b_def.conj().T
-            - np.conjugate(alpha) * a_def - np.conjugate(beta) * b_def)
-
-
 @pytest.mark.parametrize("cutoff", [1, 12, 30])
 @pytest.mark.parametrize("theta", [0.0, 0.5, 0.9])
 def test_pattern_operators_equal_the_csr_sums(cutoff, theta):
@@ -255,31 +252,21 @@ def test_pattern_operators_equal_the_csr_sums(cutoff, theta):
     for name in ("a_ord", "b_ord"):
         assert abs(to_csr(getattr(ops, name)) - refs[name]).max() == 0.0
     for amps in (ModeAmplitudes(0.4, 0.3j), ModeAmplitudes(-0.7j, 1.0 + 0.2j)):
-        want = _oracle_generator(refs, amps)
-        got = to_csr(_displacement_generator(ops, amps))
+        want = displacement_generator_csr(refs["a_def"], refs["b_def"], amps)
+        got = to_csr(OperatorMatrix(space, fock._displacement_row(ops, amps)))
         assert abs(got - want).max() <= 1e-15 * abs(want).max()
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 12, 30])
 def test_band_arithmetic_matches_scipy(cutoff):
-    """Products, adjoints, commutators, sums and matrix-vector products
-    against scipy on the kron-built references, and the safe-block entries
-    against the dense view.  At cutoffs 1 and 2 the
-    +-1 and +-(cutoff+1) offsets sit next to each other, products reach
-    offsets at or beyond the dimension, and every row edge wraps."""
+    """Adjoints, combinations of rows and matrix-vector products against
+    scipy on the kron-built references, and the oracle's safe-block max
+    against the dense view.  At cutoffs 1 and 2 the +-1 and +-(cutoff+1)
+    offsets sit next to each other and every row edge wraps."""
     space = make_space(cutoff)
     ops = build_operator_set(make_params(0.7, 0.4, 1.0), space)
     refs = _kron_references(ops)
     engine = {name: getattr(ops, name) for name in refs}
-    # quadratic operators, whose products reach the summed offsets
-    engine["pair"] = ops.pair_annihilator
-    refs["pair"] = refs["a_def"] @ refs["b_def"]
-    engine["xpy"] = ops.x @ ops.py + 0.3j * ops.b_ord
-    refs["xpy"] = refs["x"] @ refs["py"] + 0.3j * refs["b_ord"]
-    # scipy sums an entry's products in the order its left factor stores
-    # the row's columns; sorted, that is the engine's band order
-    refs["pair"].sort_indices()
-    refs["xpy"].sort_indices()
     rng = np.random.default_rng(cutoff)
     block = rng.standard_normal((space.dim, 3)) + 1j * rng.standard_normal((space.dim, 3))
 
@@ -290,21 +277,17 @@ def test_band_arithmetic_matches_scipy(cutoff):
     for name, op in engine.items():
         ref = refs[name]
         assert close(op.dag(), ref.conj().T), name
-        assert close(2.5j * op - op.dag(), 2.5j * ref - ref.conj().T), name
-        assert np.abs(op @ block - ref @ block).max() <= 1e-14 * np.abs(ref @ block).max()
-        assert np.abs(op @ block[:, 0] - ref @ block[:, 0]).max() <= 1e-14 * max(
-            1.0, np.abs(ref @ block[:, 0]).max())
+        combined = OperatorMatrix(space, 2.5j * op.row - op.dag().row)
+        assert close(combined, 2.5j * ref - ref.conj().T), name
+        for got, want in ((op, ref), (op.dag(), ref.conj().T)):
+            assert np.abs(got @ block - want @ block).max() <= 1e-14 * np.abs(want @ block).max()
+            assert np.abs(got @ block[:, 0] - want @ block[:, 0]).max() <= 1e-14 * max(
+                1.0, np.abs(want @ block[:, 0]).max())
         for buffer in (0, 1):
             safe = space.n_tot <= cutoff - buffer
             dense = op.matrix[np.ix_(safe, safe)]
-            got = verifier._safe_block_max(space, op, buffer)
+            got = safe_block_max(space, to_csr(op), buffer)
             assert got == np.abs(dense).max(initial=0.0), name
-    for left in ("x", "a_def", "b_ord", "pair"):
-        for right in ("py", "b_def", "a_ord", "pair", "xpy"):
-            l_op, r_op, l_ref, r_ref = engine[left], engine[right], refs[left], refs[right]
-            assert close(l_op @ r_op, l_ref @ r_ref), (left, right)
-            assert close(commutator(l_op, r_op), l_ref @ r_ref - r_ref @ l_ref), (left, right)
-            assert close(l_op.dag() @ r_op, l_ref.conj().T @ r_ref), (left, right)
 
 
 def test_phase_space_ops_hermitian(space20):
@@ -317,8 +300,7 @@ def test_phase_space_ops_hermitian(space20):
 def test_phase_space_commutators(theta, space30):
     params = make_params(theta, theta, 1.0)
     ops = build_operator_set(params, space30)
-    x, y, px, py = ops.x, ops.y, ops.px, ops.py
-    eye = np.eye(space30.dim)
+    x, y, px, py = (to_csr(op) for op in (ops.x, ops.y, ops.px, ops.py))
     pairs = [
         (x, y, 1j * params.mu),
         (px, py, 1j * params.nu),
@@ -328,8 +310,7 @@ def test_phase_space_commutators(theta, space30):
         (y, px, 0.0),
     ]
     for left, right, want in pairs:
-        resid = commutator(left, right).matrix - want * eye
-        assert _safe_max(space30, resid) < 1e-10
+        assert commutator_residual(space30, left, right, want, 5) < 1e-10
 
 
 def test_phase_space_ops_refuse_saturation(space12):
@@ -342,23 +323,24 @@ def test_phase_space_ops_refuse_saturation(space12):
 def test_deformed_algebra(space30):
     ops = build_operator_set(P05, space30)
     theta = P05.theta
-    eye = np.eye(space30.dim)
+    a, b = to_csr(ops.a_def), to_csr(ops.b_def)
     checks = [
-        (commutator(ops.a_def, ops.a_def.dag()).matrix - eye),
-        (commutator(ops.b_def, ops.b_def.dag()).matrix - eye),
-        commutator(ops.a_def, ops.b_def).matrix,
-        (commutator(ops.a_def, ops.b_def.dag()).matrix - 1j * theta * eye),
-        (commutator(ops.b_def, ops.a_def.dag()).matrix + 1j * theta * eye),
+        (a, a.conj().T, 1.0),
+        (b, b.conj().T, 1.0),
+        (a, b, 0.0),
+        (a, b.conj().T, 1j * theta),
+        (b, a.conj().T, -1j * theta),
     ]
-    for resid in checks:
-        assert _safe_max(space30, resid) < 1e-10
+    for left, right, want in checks:
+        assert commutator_residual(space30, left, right, want, 5) < 1e-10
 
 
 def test_cross_commutator_expectation_tracks_theta(space12):
     params = make_params(1e-4, 1e-4, 1.0)
     ops = build_operator_set(params, space12)
-    vac = basis_state(space12, 0, 0)
-    got = expectation(vac, commutator(ops.a_def, ops.b_def.dag()))
+    vac = basis_state(space12, 0, 0).vector
+    a, bdag = to_csr(ops.a_def), to_csr(ops.b_def.dag())
+    got = np.vdot(vac, (a @ bdag - bdag @ a) @ vac)
     assert got == pytest.approx(1j * params.theta, abs=1e-10)
 
 
@@ -395,7 +377,8 @@ def test_displacement_op_matches_dense_scipy_expm(mu, nu, cutoff):
     space = make_space(cutoff)
     ops = build_operator_set(params, space)
     for amps in (ModeAmplitudes(0.0, 0.0), ModeAmplitudes(0.7j, 0.3 - 0.2j)):
-        want = expm(_displacement_generator(ops, amps).matrix)
+        want = expm(displacement_generator_csr(
+            to_csr(ops.a_def), to_csr(ops.b_def), amps).toarray())
         got = displacement_op(params, space, amps, ops).matrix
         assert np.abs(got - want).max() <= 1e-13, amps
 
@@ -428,14 +411,20 @@ def test_displacement_op_rejects_nonfinite(space12):
 
 def test_squeeze_adjoint_is_negated_squeeze():
     """exp(G)+ = exp(G+) for any matrix, so S(z)+ = S(-z) reduces to
-    G(z)+ = G(-z), checked band for band."""
+    G(z)+ = G(-z), checked entry for entry on the truncated generators,
+    and on their 4x4 actions on rows."""
     space = make_space(40)
     ops = build_operator_set(P05, space)
     z = SqueezeParam(0.3, math.pi / 4)
     neg = SqueezeParam(0.3, math.pi / 4 - math.pi)
-    gen_dag, gen_neg = _squeeze_generator(ops, z).dag(), _squeeze_generator(ops, neg)
-    assert gen_dag.offsets == gen_neg.offsets
-    assert np.abs(gen_dag.bands - gen_neg.bands).max() < 1e-11
+    gen_dag, gen_neg = squeeze_generator_csr(ops, z).conj().T, squeeze_generator_csr(ops, neg)
+    assert abs(gen_dag - gen_neg).max() < 1e-11
+    # [G(z), W]+ = [W+, G(z)+] = -[G(-z), W+]: on rows, the adjoint of
+    # z's action on w is minus the action of -z on w's adjoint
+    action, action_neg = (fock._squeeze_action(fock._squeeze_terms(ops, t)) for t in (z, neg))
+    rows = np.eye(4)
+    assert np.abs(fock._adjoint(rows @ action.T) + fock._adjoint(rows) @ action_neg.T
+                  ).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +443,9 @@ def _scipy_state(ops, amps, z):
     quad = 0.5 * pair[0, 0] * (adag @ adag) + pair[0, 1] * (adag @ bdag) \
         + 0.5 * pair[1, 1] * (bdag @ bdag)
     vec = expm_multiply(quad, basis_state(ops.space, 0, 0).vector)
-    vec = expm_multiply(to_csr(_displacement_generator(ops, amps)), vec / np.linalg.norm(vec))
-    return expm_multiply(to_csr(_squeeze_generator(ops, z)), vec)
+    gen = displacement_generator_csr(to_csr(ops.a_def), to_csr(ops.b_def), amps)
+    vec = expm_multiply(gen, vec / np.linalg.norm(vec))
+    return expm_multiply(squeeze_generator_csr(ops, z), vec)
 
 
 @pytest.mark.parametrize("theta, cutoff", [(0.2, 120), (0.5, 120), (0.8, 120)])
@@ -726,16 +716,26 @@ def test_space_mismatch_raises(space12, space20):
 
 
 def test_operator_algebra_helpers(space12):
+    """An operator is its row: scaling or summing rows scales or sums the
+    matrices, the adjoint is the adjoint row, and a row equal to its
+    adjoint has no Hermiticity defect."""
     ops = build_operator_set(P05, space12)
     a, b = ops.a_ord, ops.b_ord
-    doubled = 2.0 * a
+    doubled = OperatorMatrix(space12, 2.0 * a.row)
     assert np.array_equal(doubled.matrix, 2.0 * a.matrix)
-    diff = (a + b) - b
-    assert np.abs(diff.matrix - a.matrix).max() == 0.0
-    assert (-a).matrix[1, 0] == -a.matrix[1, 0]
-    anti = 1j * (a - a.dag())
-    herm = 0.5 * (anti + anti.dag())
+    both = OperatorMatrix(space12, a.row + b.row)
+    assert np.abs(both.matrix - a.matrix - b.matrix).max() == 0.0
+    assert np.array_equal(a.dag().matrix, a.matrix.conj().T)
+    anti = OperatorMatrix(space12, 1j * (a.row - a.dag().row))
+    herm = OperatorMatrix(space12, 0.5 * (anti.row + anti.dag().row))
     assert herm.hermiticity_defect() == 0.0
+    # the defect and the scale are the entry-level ones: a coefficient's
+    # size times the ladders' largest weight, sqrt(cutoff)
+    for op in (ops.a_def, anti):
+        dense = op.matrix
+        defect, scale = op._hermiticity
+        assert defect == pytest.approx(np.abs(dense - dense.conj().T).max(), rel=1e-15)
+        assert scale == pytest.approx(max(1.0, np.abs(dense).max()), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    commutator_residual,
+    displacement_generator_csr,
     fit_mode_block,
+    oracle_identity_residuals,
     squeeze_conjugated_block,
     squeeze_flow,
+    squeeze_generator_csr,
+    to_csr,
 )
 from ncsq import (
     BufferOutOfRange,
     IntegrandUnderflow,
     ModeAmplitudes,
     NonFinite,
+    OperatorMatrix,
     SamplesTooFew,
     SamplesTooMany,
     SqueezeParam,
@@ -45,16 +51,11 @@ from ncsq import analytic, fock, verifier
 from ncsq.fock import (
     PopulationOverflow,
     SqueezeTooLargeForCutoff,
-    _displacement_generator,
-    _identity,
-    _squeeze_generator,
 )
 from ncsq.verifier import (
     MC_MAX_SAMPLES,
     _MC_BLOCK,
     _MC_CHUNK,
-    _commutator_residual,
-    _safe_block_max,
     _squeeze_commutator_residual,
 )
 
@@ -240,7 +241,7 @@ def test_phase_plane_residuals_see_a_wrong_small_scale(space12, field):
                     if r.check_id == "heisenberg_weyl").passed
 
 
-def test_displacement_shift_matches_dense_conjugation(space20):
+def test_displacement_shift_matches_dense_conjugation(space20, monkeypatch):
     """The dense route is the oracle: D+ m D - m - lambda_m from the full
     unitary vanishes on a deep block, the commutator report reads zero
     there too, and a wrong lambda shows up at its own size."""
@@ -259,9 +260,9 @@ def test_displacement_shift_matches_dense_conjugation(space20):
     by_id = {r.check_id: r for r in reports}
     assert by_id["displacement_property"].residual <= 1e-12
 
-    gen = _displacement_generator(ops, amps)
-    wrong = _commutator_residual(ops.a_def, gen, (lams[0] - 1e-3) * _identity(space20), 5)
-    assert wrong == pytest.approx(1e-3, rel=1e-8)
+    monkeypatch.setattr(analytic, "coherent_eigenvalues", lambda p, a: (lams[0] - 1e-3, lams[1]))
+    by_id = {r.check_id: r for r in identity_suite(ops, amps, SqueezeParam(0.0, 0.0))}
+    assert by_id["displacement_property"].residual == pytest.approx(1e-3, rel=1e-8)
 
 
 def test_identity_suite_at_a_large_displacement_and_cutoff():
@@ -310,11 +311,13 @@ def test_displacement_commutator_is_the_closed_form_shift(
     p = make_params(theta or 1e-200, theta or 1e-200, 1.0)
     ops = build_operator_set(p, space12)
     amps = ModeAmplitudes(complex(re_a, im_a), complex(re_b, im_b))
-    gen = _displacement_generator(ops, amps)
-    lam_a, lam_b = coherent_eigenvalues(p, amps)
-    eye = _identity(space12)
-    assert _commutator_residual(ops.a_def, gen, lam_a * eye, 5) <= 1e-12
-    assert _commutator_residual(ops.b_def, gen, lam_b * eye, 5) <= 1e-12
+    shift = fock._displacement_row(ops, amps)
+    a, b = to_csr(ops.a_def), to_csr(ops.b_def)
+    gen = displacement_generator_csr(a, b, amps)
+    # on rows, and by the banded oracle on the safe block
+    for row, mode, lam in zip(ops.coeffs[4:], (a, b), coherent_eigenvalues(p, amps)):
+        assert abs(row @ fock._J @ shift - lam) <= 1e-12
+        assert commutator_residual(space12, mode, gen, lam, 5) <= 1e-12
 
 
 @pytest.mark.parametrize("buffer", [-1, 21])
@@ -346,10 +349,19 @@ def test_identity_suite_refuses_a_displacement_the_cutoff_cannot_hold(space12):
 
 
 def test_safe_block_max_refuses_an_empty_block(space12):
+    # buffer = cutoff leaves |0,0> alone, where every ladder entry is off
+    # the block: the Bogoliubov residual's safe-block max reads 0, as the
+    # oracle's does, even against a wrong image; one more is refused
     ops = build_operator_set(P05, space12)
-    assert _safe_block_max(space12, ops.a_def, space12.cutoff) == 0.0
+    z = SqueezeParam(0.2, 0.6)
+    gen = squeeze_generator_csr(ops, z)
+    a = to_csr(ops.a_def)
+    assert commutator_residual(space12, gen, a, 0.5 * a, space12.cutoff) == 0.0
+    assert _squeeze_commutator_residual(ops, z, space12.cutoff) == 0.0
     with pytest.raises(BufferOutOfRange):
-        _safe_block_max(space12, ops.a_def, space12.cutoff + 1)
+        _squeeze_commutator_residual(ops, z, space12.cutoff + 1)
+    with pytest.raises(BufferOutOfRange):
+        algebra_residuals(ops, space12.cutoff + 1)
 
 
 def test_identity_reports_carry_context(space20):
@@ -362,92 +374,204 @@ def test_identity_reports_carry_context(space20):
 
 
 # ---------------------------------------------------------------------------
-# commutator residuals, one output band at a time
+# residuals from coefficient rows, against the banded oracle
 
 
-def _product_route_residual(left, right, want, buffer):
-    """The residual through the product operators: [left, right] - want
-    formed whole, then its safe-block max."""
-    return _safe_block_max(left.space, (left @ right - right @ left) - want, buffer)
-
-
-def _kernel_operands(ops):
-    """Operators of every shape the residuals meet: linear (x, a_def, b_ord),
-    the displacement generator with and without bands, and the quadratic
-    squeeze generator and pair annihilator."""
-    z = SqueezeParam(0.3, 0.7)
+def _linear_rows(ops):
+    """Rows of every shape the residuals meet: a plane operator, a_def, an
+    ordinary ladder, and the displacement generator with and without
+    terms."""
     return {
-        "x": ops.x,
-        "a_def": ops.a_def,
-        "b_ord": ops.b_ord,
-        "disp": _displacement_generator(ops, ModeAmplitudes(0.4, 0.3j)),
-        "disp0": _displacement_generator(ops, ModeAmplitudes(0.0, 0.0)),
-        "squeeze": _squeeze_generator(ops, z),
-        "pair": ops.pair_annihilator,
+        "x": ops.coeffs[0],
+        "a_def": ops.coeffs[4],
+        "b_ord": fock._UNIT[2],
+        "disp": fock._displacement_row(ops, ModeAmplitudes(0.4, 0.3j)),
+        "disp0": fock._displacement_row(ops, ModeAmplitudes(0.0, 0.0)),
     }
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 12])
 def test_commutator_residual_matches_the_dense_oracle_and_the_product_route(cutoff):
-    """Every pair of operands, against 0*I, lambda*I and a mode image (whose
-    offsets +-1 and +-(cutoff+1) the commutators of two linear operators
-    lack), at buffers 0, 1 and cutoff.  The banded residual equals the
-    product route's exactly, since it makes the same additions in the same
-    order, and the dense oracle's to rounding."""
+    """Every pair of linear operators has the c-number commutator
+    u @ _J @ w, and the squeeze generator's commutator with each is the
+    operator of the row M @ w (fock._squeeze_action).  Both equal the
+    dense products and the scipy product route on the safe block, at
+    buffers 1 and cutoff, down to cutoff 1, where the +-1 and +-(cutoff+1)
+    offsets sit next to each other and every row edge wraps."""
     space = make_space(cutoff)
     ops = build_operator_set(make_params(0.7, 0.4, 1.0), space)
-    operands = _kernel_operands(ops)
-    assert operands["disp0"].offsets == ()
-    eye = _identity(space)
-    image = analytic.squeeze_commutators(ops.params, SqueezeParam(0.3, 0.7)).mode_a
-    wants = {"zero": 0.0 * eye, "lambda": (0.3 - 0.2j) * eye,
-             "image": verifier._mode_image(ops, image)}
-    dense = {name: op.matrix for name, op in {**operands, **wants}.items()}
-    for left, right in itertools.product(operands, repeat=2):
-        l_op, r_op = operands[left], operands[right]
-        got = fock.commutator(l_op, r_op)
-        via_products = l_op @ r_op - r_op @ l_op
-        assert got.offsets == via_products.offsets, (left, right)
-        assert np.array_equal(got.bands, via_products.bands), (left, right)
+    ops_of = {name: OperatorMatrix(space, row) for name, row in _linear_rows(ops).items()}
+    assert ops_of["disp0"].offsets == ()
+    dense = {name: op.matrix for name, op in ops_of.items()}
+    sparse = {name: to_csr(op) for name, op in ops_of.items()}
+    z = SqueezeParam(0.3, 0.7)
+    action = fock._squeeze_action(fock._squeeze_terms(ops, z))
+    gen_sparse = squeeze_generator_csr(ops, z)
+    gen = gen_sparse.toarray()
+    checks = []
+    for left, right in itertools.product(ops_of, repeat=2):
+        c_number = ops_of[left].row @ fock._J @ ops_of[right].row
         lr, rl = dense[left] @ dense[right], dense[right] @ dense[left]
-        for want, buffer in itertools.product(wants, (0, 1, cutoff)):
-            safe = space.n_tot <= cutoff - buffer
-            oracle = np.abs((lr - rl - dense[want])[np.ix_(safe, safe)]).max()
-            scale = max(1.0, np.abs(lr).max(), np.abs(rl).max(), np.abs(dense[want]).max())
-            case = (left, right, want, buffer)
-            residual = _commutator_residual(l_op, r_op, wants[want], buffer)
-            assert residual == _product_route_residual(l_op, r_op, wants[want], buffer), case
-            assert abs(residual - oracle) <= 1e-14 * scale, case
+        checks.append(((left, right), lr - rl - c_number * np.eye(space.dim),
+                       (sparse[left], sparse[right], c_number),
+                       max(1.0, np.abs(lr).max(), np.abs(rl).max())))
+    for name, op in ops_of.items():
+        image = OperatorMatrix(space, action @ op.row)
+        comm = gen @ dense[name] - dense[name] @ gen
+        checks.append(((name,), comm - image.matrix, (gen_sparse, sparse[name], to_csr(image)),
+                       max(1.0, np.abs(comm).max())))
+    for buffer in (1, cutoff):
+        safe = space.n_tot <= cutoff - buffer
+        for case, difference, operands, scale in checks:
+            assert np.abs(difference[np.ix_(safe, safe)]).max() <= 1e-14 * scale, (case, buffer)
+            assert commutator_residual(space, *operands, buffer) <= 1e-14 * scale, (case, buffer)
 
 
 def test_commutator_residual_forms_no_product_operator():
-    """At cutoff 200 a band is 0.65 MB; the product route's stacked
-    products and differences peak at 29 MB for [x, y] and 52 MB for
-    [G, a_def].  Band by band, the residual holds a few bands at once."""
+    """At cutoff 200 one band of an operator is 0.65 MB, and a banded
+    commutator residual peaked at 2.6 MB of arrays.  From rows, the whole
+    identity suite allocates no array of the space's dimension."""
     ops = build_operator_set(P05, make_space(200))
     z = SqueezeParam(0.3, math.pi / 4)
-    gen = _squeeze_generator(ops, z)
-    image = verifier._mode_image(ops, analytic.squeeze_commutators(P05, z).mode_a)
-    eye = _identity(ops.space)
-    for left, right, want in [(ops.x, ops.y, 1j * P05.mu * eye), (gen, ops.a_def, image)]:
-        tracemalloc.start()
-        try:
-            residual = _commutator_residual(left, right, want, 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert residual < 1e-10
-        assert peak < 4e6, peak
+    tracemalloc.start()
+    try:
+        reports = identity_suite(ops, ModeAmplitudes(0.5, 0.2j), z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak < 16 * ops.space.dim, peak
 
 
-def test_safe_block_max_reads_a_nan_in_any_band(space12):
+# the six (mu, nu, hbar) points at which the coefficient residuals are
+# compared with the banded oracle's
+ORACLE_POINTS = [(0.5, 0.5, 1.0), (0.8, 0.8, 1.0), (0.1, 0.9, 1.0), (1e-3, 10.0, 1.0),
+                 (1e-200, 5e-201, 1e-200), (0.999, 0.999, 1.0)]
+
+
+def _coefficient_residuals(ops, amps, z, buffer):
+    """algebra_residuals, with identity_suite's displacement_property and
+    bogoliubov rows."""
+    by_id = {r.check_id: r for r in identity_suite(ops, amps, z, buffer)}
+    return {**algebra_residuals(ops, buffer),
+            "displacement_property": by_id["displacement_property"].residual,
+            "bogoliubov": by_id["bogoliubov"].residual}
+
+
+def _assert_routes_agree(ops, buffer):
+    amps, z = ModeAmplitudes(0.3, -0.2j), SqueezeParam(0.3, 0.7)
+    got = _coefficient_residuals(ops, amps, z, buffer)
+    oracle = oracle_identity_residuals(ops, amps, z, buffer)
+    assert got.keys() == oracle.keys()
+    for key, value in got.items():
+        tol = verifier.OPERATOR_TOL if key in ("displacement_property", "bogoliubov") \
+            else verifier.COMMUTATOR_TOL
+        assert value <= 1e-13 and oracle[key] <= tol, (key, value, oracle[key])
+        assert abs(value - oracle[key]) <= 1e-12, (key, value, oracle[key])
+
+
+@pytest.mark.parametrize("cutoff", [12, 40])
+@pytest.mark.parametrize("point", ORACLE_POINTS)
+def test_coefficient_residuals_match_the_banded_oracle(point, cutoff):
+    """Each residual of algebra_residuals and identity_suite, read from
+    rows, against the safe-block max of the banded oracle (scipy products
+    of the truncated operators), at buffers 1, 2 and 5: both pass at the
+    suite's tolerances, and they agree to rounding."""
+    ops = build_operator_set(make_params(*point), make_space(cutoff))
+    for buffer in (1, 2, 5):
+        _assert_routes_agree(ops, buffer)
+
+
+def test_coefficient_residuals_at_the_largest_cutoff():
+    """The routes agree at cutoff 200 too, where the oracle's ladder
+    weights round at n up to 200; the rows read at most 1e-13 at all six
+    points."""
+    space = make_space(200)
+    for buffer in (1, 2, 5):
+        _assert_routes_agree(build_operator_set(make_params(0.999, 0.999, 1.0), space), buffer)
+    for point in ORACLE_POINTS:
+        got = _coefficient_residuals(build_operator_set(make_params(*point), space),
+                                     ModeAmplitudes(0.3, -0.2j), SqueezeParam(0.3, 0.7), 5)
+        assert max(got.values()) <= 1e-13, (point, got)
+
+
+def test_planted_errors_read_the_same_from_both_routes(space20, monkeypatch):
+    """A missing i*theta term in a closed-form squeeze commutator, a wrong
+    eigenvalue (off by 1e-3) and a wrong scale (a relation a third off)
+    each read their own size, the same from rows and from the oracle."""
+    amps, z = ModeAmplitudes(0.5, 0.2j), SqueezeParam(0.2, 0.6)
+    ops = build_operator_set(P05, space20)
+    right = analytic.squeeze_commutators(P05, z)
+    textbook = analytic.squeeze_commutators(P00, z)
+    lam_a, lam_b = coherent_eigenvalues(P05, amps)
+    with monkeypatch.context() as patch:
+        patch.setattr(analytic, "squeeze_commutators",
+                      lambda params, z: dataclasses.replace(right, mode_a=textbook.mode_a))
+        patch.setattr(analytic, "coherent_eigenvalues", lambda p, a: (lam_a, lam_b - 1e-3))
+        got = _coefficient_residuals(ops, amps, z, 5)
+        oracle = oracle_identity_residuals(ops, amps, z, 5)
+    size = P05.theta * z.r * np.abs(ops.coeffs[4]).max() * math.sqrt(space20.cutoff - 5)
+    assert got["bogoliubov"] == pytest.approx(size, rel=1e-12)
+    assert got["displacement_property"] == pytest.approx(1e-3, rel=1e-12)
+    for key in ("bogoliubov", "displacement_property"):
+        assert got[key] == pytest.approx(oracle[key], rel=1e-12), key
+
+    small = {"mu": 1e-200, "nu": 5e-201, "hbar": 1e-200}
+    built = build_operator_set(make_params(**small), space20)
+    wrong = dataclasses.replace(built, params=make_params(**{**small, "mu": 1.5e-200}))
+    got = algebra_residuals(wrong)["xy"]
+    assert got == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert got == pytest.approx(oracle_identity_residuals(
+        wrong, ModeAmplitudes(0.0, 0.0), z, 5)["xy"], rel=1e-12)
+
+
+def test_a_nan_in_any_row_fails_its_report(space12, monkeypatch):
+    """A NaN in any coefficient row makes every residual that reads the
+    row NaN, and its report fails, wherever it sits among the relations
+    of its class; a NaN in a_def or b_def also reaches the displacement
+    row, whose mean occupation refuses it."""
     ops = build_operator_set(P05, space12)
-    for k in range(len(ops.x.offsets)):
-        bands = np.zeros_like(ops.x.bands)
-        # |1,1> and its neighbours on every offset of x are safe
-        bands[k, space12.index_of(1, 1)] = np.nan
-        op = fock.OperatorMatrix(space12, ops.x.offsets, bands)
-        assert math.isnan(_safe_block_max(space12, op, 0)), k
+    amps, z = ModeAmplitudes(0.1, 0.0), SqueezeParam(0.2, 0.6)
+    # the rows each relation reads, in fock's row order
+    reads = {"xy": (0, 1), "pxpy": (2, 3), "xpx": (0, 2), "ypy": (1, 3), "xpy": (0, 3),
+             "ypx": (1, 2), "a_adag": (4,), "b_bdag": (5,), "ab": (4, 5), "a_bdag": (4, 5),
+             "b_adag": (4, 5), "XP": (0, 1, 2, 3)}
+    for row, entry in itertools.product(range(6), range(4)):
+        coeffs = ops.coeffs.copy()
+        coeffs[row, entry] = np.nan
+        broken = dataclasses.replace(ops, coeffs=coeffs)
+        resids = algebra_residuals(broken)
+        for key, value in resids.items():
+            assert math.isnan(value) == (row in reads.get(key, ())), (row, entry, key)
+        if row >= 4:
+            assert math.isnan(_squeeze_commutator_residual(broken, z))
+            with pytest.raises(PopulationOverflow, match="mean occupation nan"):
+                identity_suite(broken, amps, z)
+            continue
+        failed = {r.check_id for r in identity_suite(broken, amps, z) if not r.passed}
+        assert failed == {"heisenberg_weyl", "two_mode_commutator"}, (row, entry)
+    # a NaN eigenvalue, second of the two the displacement row reads
+    real = analytic.coherent_eigenvalues
+    monkeypatch.setattr(analytic, "coherent_eigenvalues", lambda p, a: (real(p, a)[0], math.nan))
+    shift = next(r for r in identity_suite(ops, amps, z) if r.check_id == "displacement_property")
+    assert math.isnan(shift.residual) and not shift.passed
+
+
+def test_each_displaced_state_computes_its_row_once(monkeypatch):
+    """The mean-occupation refusal and the state's shift share one
+    displacement row: one call per displaced state built."""
+    cases = [(ModeAmplitudes(0.3, 0.1j), None), (ModeAmplitudes(0.2j, -0.1), SqueezeParam(0.1, 0.5)),
+             (ModeAmplitudes(0.0, 0.0), SqueezeParam(0.15, -1.0)),
+             (ModeAmplitudes(-0.1, 0.2 - 0.1j), SqueezeParam(0.0, 1.0)),
+             (ModeAmplitudes(0.5, -0.4j), None)]
+    calls = []
+    real = fock._displacement_row
+    monkeypatch.setattr(fock, "_displacement_row", lambda ops, amps: calls.append(amps) or real(ops, amps))
+    reports = crosscheck_suite(P05, make_space(30), cases)
+    assert all(r.passed for r in reports)
+    # the coherent states of cases 0, 1, 3 and 4 and the squeezed state of
+    # case 1; case 2 is not displaced, and case 3's squeeze is zero
+    assert calls == [cases[0][0], cases[1][0], cases[1][0], cases[3][0], cases[4][0]]
 
 
 # ---------------------------------------------------------------------------
