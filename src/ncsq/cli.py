@@ -24,7 +24,7 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -500,92 +500,111 @@ def _add_squeeze_flags(sub: argparse.ArgumentParser, *, required_default: bool,
                          help="squeeze phase in radians")
 
 
-def _build_parser() -> _Parser:
+def _add_amplitude_flags(sub: argparse.ArgumentParser, default: Optional[complex],
+                         helps: Tuple[str, str, str, str]) -> None:
+    for name, text in zip(("--alpha", "--beta", "--alpha2", "--beta2"), helps):
+        sub.add_argument(name, type=parse_complex, default=default, help=text)
+
+
+def _variance_flags(sub: argparse.ArgumentParser) -> None:
+    _add_param_flags(sub)
+    _add_squeeze_flags(sub, required_default=False)
+
+
+def _overlap_flags(sub: argparse.ArgumentParser) -> None:
+    _variance_flags(sub)
+    _add_amplitude_flags(sub, 0j, ("ket first-mode amplitude, e.g. 0.5+0.2i",
+                                   "ket second-mode amplitude",
+                                   "bra first-mode amplitude",
+                                   "bra second-mode amplitude"))
+
+
+def _bogoliubov_flags(sub: argparse.ArgumentParser) -> None:
+    _add_param_flags(sub)
+    _add_squeeze_flags(sub, required_default=True)
+
+
+def _check_flags(sub: argparse.ArgumentParser) -> None:
+    _add_param_flags(sub)
+    _add_squeeze_flags(sub, required_default=True, default_r=0.3,
+                       default_phi=math.pi / 4)
+    sub.add_argument("--alpha", type=parse_complex, default=0.5 + 0j,
+                     help="first-mode displacement (default 0.5)")
+    sub.add_argument("--beta", type=parse_complex, default=0.2j,
+                     help="second-mode displacement (default 0.2i)")
+    sub.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF,
+                     help="per-mode occupation cutoff (default %d)" % DEFAULT_CUTOFF)
+    sub.add_argument("--buffer", type=int, default=fock.DEFAULT_BUFFER,
+                     help="safe-subspace buffer levels (default %d)" % fock.DEFAULT_BUFFER)
+
+
+def _overcompleteness_flags(sub: argparse.ArgumentParser) -> None:
+    _variance_flags(sub)
+    _add_amplitude_flags(sub, None, ("left probe first-mode amplitude",
+                                     "left probe second-mode amplitude",
+                                     "right probe first-mode amplitude",
+                                     "right probe second-mode amplitude"))
+    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                     help="Monte Carlo sample count (default %d)" % DEFAULT_SAMPLES)
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                     help="RNG seed (default %d)" % DEFAULT_SEED)
+
+
+def _sweep_flags(sub: argparse.ArgumentParser) -> None:
+    _variance_flags(sub)
+    sub.add_argument("--variable", required=True, choices=_SWEEP_VARIABLES,
+                     help="which variable the grid runs over")
+    sub.add_argument("--start", type=float, required=True)
+    sub.add_argument("--stop", type=float, required=True)
+    sub.add_argument("--step", type=float, required=True)
+    sub.add_argument("--quantity", required=True,
+                     help="row key to report, e.g. dx2, prod_xpx, prod_XP")
+
+
+def _oscillator_flags(sub: argparse.ArgumentParser) -> None:
+    _add_param_flags(sub)
+    sub.add_argument("--m", type=float, required=True, help="oscillator mass")
+    sub.add_argument("--omega", type=float, required=True, help="oscillator frequency")
+
+
+# Every subcommand, in the order the top-level help lists them:
+# name -> (help line, handler, the function that adds its own flags).
+# Each one also gets --out and --json.
+_COMMANDS: Dict[str, Tuple[str, Callable[[argparse.Namespace], Tuple[RunReport, bool]],
+                           Callable[[argparse.ArgumentParser], None]]] = {
+    "params": ("derive theta, kappa and the constraint class",
+               _cmd_params, _add_param_flags),
+    "variance": ("closed-form variance and product report",
+                 _cmd_variance, _variance_flags),
+    "overlap": ("overlap between two states", _cmd_overlap, _overlap_flags),
+    "bogoliubov": ("squeeze-transform coefficients of both modes",
+                   _cmd_bogoliubov, _bogoliubov_flags),
+    "check": ("run the matrix-engine identity and crosscheck suites",
+              _cmd_check, _check_flags),
+    "overcompleteness": ("Monte Carlo resolution-of-identity test",
+                         _cmd_overcompleteness, _overcompleteness_flags),
+    "sweep": ("grid a closed-form quantity over one variable", _cmd_sweep, _sweep_flags),
+    "oscillator": ("check an isotropic-oscillator mass/frequency pair",
+                   _cmd_oscillator, _oscillator_flags),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The ``ncsq`` parser with every subcommand, or with ``command`` only.
+
+    ``run`` builds only the subcommand it invokes: two parsers, not nine.
+    The top-level help and its usage errors (no command, an unknown one)
+    list every subcommand, so they need the full parser.
+    """
     parser = _Parser(prog="ncsq", allow_abbrev=False,
                      description="Deformed squeezed-state calculator for a "
                                  "noncommuting phase-plane pair.")
     subs = parser.add_subparsers(dest="command", metavar="command")
     subs.required = True
-
-    p = subs.add_parser("params", help="derive theta, kappa and the constraint class")
-    _add_param_flags(p)
-    p.set_defaults(handler=_cmd_params)
-
-    p = subs.add_parser("variance", help="closed-form variance and product report")
-    _add_param_flags(p)
-    _add_squeeze_flags(p, required_default=False)
-    p.set_defaults(handler=_cmd_variance)
-
-    p = subs.add_parser("overlap", help="overlap between two states")
-    _add_param_flags(p)
-    _add_squeeze_flags(p, required_default=False)
-    p.add_argument("--alpha", type=parse_complex, default=0j,
-                   help="ket first-mode amplitude, e.g. 0.5+0.2i")
-    p.add_argument("--beta", type=parse_complex, default=0j,
-                   help="ket second-mode amplitude")
-    p.add_argument("--alpha2", type=parse_complex, default=0j,
-                   help="bra first-mode amplitude")
-    p.add_argument("--beta2", type=parse_complex, default=0j,
-                   help="bra second-mode amplitude")
-    p.set_defaults(handler=_cmd_overlap)
-
-    p = subs.add_parser("bogoliubov", help="squeeze-transform coefficients of both modes")
-    _add_param_flags(p)
-    _add_squeeze_flags(p, required_default=True)
-    p.set_defaults(handler=_cmd_bogoliubov)
-
-    p = subs.add_parser("check", help="run the matrix-engine identity and crosscheck suites")
-    _add_param_flags(p)
-    _add_squeeze_flags(p, required_default=True, default_r=0.3,
-                       default_phi=math.pi / 4)
-    p.add_argument("--alpha", type=parse_complex, default=0.5 + 0j,
-                   help="first-mode displacement (default 0.5)")
-    p.add_argument("--beta", type=parse_complex, default=0.2j,
-                   help="second-mode displacement (default 0.2i)")
-    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF,
-                   help="per-mode occupation cutoff (default %d)" % DEFAULT_CUTOFF)
-    p.add_argument("--buffer", type=int, default=fock.DEFAULT_BUFFER,
-                   help="safe-subspace buffer levels (default %d)" % fock.DEFAULT_BUFFER)
-    p.set_defaults(handler=_cmd_check)
-
-    p = subs.add_parser("overcompleteness",
-                        help="Monte Carlo resolution-of-identity test")
-    _add_param_flags(p)
-    _add_squeeze_flags(p, required_default=False)
-    p.add_argument("--alpha", type=parse_complex, default=None,
-                   help="left probe first-mode amplitude")
-    p.add_argument("--beta", type=parse_complex, default=None,
-                   help="left probe second-mode amplitude")
-    p.add_argument("--alpha2", type=parse_complex, default=None,
-                   help="right probe first-mode amplitude")
-    p.add_argument("--beta2", type=parse_complex, default=None,
-                   help="right probe second-mode amplitude")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help="Monte Carlo sample count (default %d)" % DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="RNG seed (default %d)" % DEFAULT_SEED)
-    p.set_defaults(handler=_cmd_overcompleteness)
-
-    p = subs.add_parser("sweep", help="grid a closed-form quantity over one variable")
-    _add_param_flags(p)
-    _add_squeeze_flags(p, required_default=False)
-    p.add_argument("--variable", required=True, choices=_SWEEP_VARIABLES,
-                   help="which variable the grid runs over")
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--quantity", required=True,
-                   help="row key to report, e.g. dx2, prod_xpx, prod_XP")
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = subs.add_parser("oscillator",
-                        help="check an isotropic-oscillator mass/frequency pair")
-    _add_param_flags(p)
-    p.add_argument("--m", type=float, required=True, help="oscillator mass")
-    p.add_argument("--omega", type=float, required=True, help="oscillator frequency")
-    p.set_defaults(handler=_cmd_oscillator)
-
-    for sub in subs.choices.values():
+    for name in _COMMANDS if command is None else (command,):
+        help_line, _, add_flags = _COMMANDS[name]
+        sub = subs.add_parser(name, help=help_line)
+        add_flags(sub)
         sub.add_argument("--out", default=None,
                          help="write the report to this path (CSV if it ends in .csv)")
         sub.add_argument("--json", action="store_true", dest="force_json",
@@ -664,11 +683,15 @@ _USER_ERRORS = (
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse ``argv``, run one subcommand, emit its report.
 
-    Returns the process exit code instead of raising SystemExit, so the
-    function is callable in-process.
+    Only the parser of the subcommand that ``argv[0]`` names is built; any
+    other ``argv[0]`` (none, ``--help``, an unknown command) gets the full
+    parser, whose help and errors list every subcommand.  Returns the
+    process exit code instead of raising SystemExit, so the function is
+    callable in-process.
     """
 
-    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         ns = parser.parse_args(argv)
     except _UsageError as exc:
@@ -677,7 +700,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        report, failed = ns.handler(ns)
+        _, handler, _ = _COMMANDS[ns.command]
+        report, failed = handler(ns)
         _emit(report, ns.out, ns.force_json)
     except _USER_ERRORS as exc:
         print("ncsq: error: %s" % exc, file=sys.stderr)

@@ -405,15 +405,20 @@ def check_displacement(ops: OperatorSet, amps: ModeAmplitudes, buffer: int) -> n
     cutoff - buffer.  The state cannot fit, and a large enough one
     overflows its amplitudes to NaN in make_state's recurrence."""
     row = _displacement_row(ops, amps)
+    _admit_mean_occupation(row, ops.space, buffer)
+    return row
+
+
+def _admit_mean_occupation(row: np.ndarray, space: FockSpace, buffer: int) -> None:
+    """check_displacement's refusal, on a displacement row already built."""
     # Python floats: the square overflows to inf, without a warning
     mean = math.hypot(abs(row[1]), abs(row[3]))
-    if not mean * mean <= ops.space.cutoff - buffer:
+    if not mean * mean <= space.cutoff - buffer:
         raise PopulationOverflow(
             f"in the engine's basis, the displaced state's mean occupation "
-            f"{mean * mean:.3e} exceeds cutoff {ops.space.cutoff} minus buffer {buffer}; "
+            f"{mean * mean:.3e} exceeds cutoff {space.cutoff} minus buffer {buffer}; "
             "increase the cutoff"
         )
-    return row
 
 
 def _refuse_large_squeeze(z: Optional[SqueezeParam]) -> None:
@@ -452,7 +457,8 @@ def displacement_op(
     that probe becomes a commutator residual (ROADMAP item 1).  Raises
     NonFinite on a generator that is not finite or too large for _expm to
     scale (a 1-norm above 2**1022), then PopulationOverflow on a mean
-    occupation above the cutoff (check_displacement at buffer 0).
+    occupation above the cutoff (check_displacement's refusal at buffer 0,
+    on the same row).
     """
     if ops is None:
         ops = build_operator_set(params, space)
@@ -462,7 +468,7 @@ def displacement_op(
         blocks = np.array([row[0] * A + row[1] * A.T, row[2] * A + row[3] * A.T])
         if not np.abs(blocks).sum(axis=-2).max() <= 2.0 ** 1022:
             raise NonFinite("displacement generator is not finite, or too large to exponentiate")
-        check_displacement(ops, amps, 0)
+        _admit_mean_occupation(row, ops.space, 0)
         factors = _expm(blocks)
     return _DenseUnitary(np.kron(*factors))
 

@@ -567,6 +567,59 @@ def test_coherent_overlap_is_hermitian_and_unit_on_the_diagonal(theta, bra, ket)
         assert abs(coherent_overlap(p, state, state) - 1.0) <= 1e-13
 
 
+@settings(max_examples=300, deadline=None)
+@given(theta=st.floats(0.0, 0.999), r=st.floats(0.0, 3.0),
+       phi=st.floats(allow_nan=False, allow_infinity=False))
+def test_bogoliubov_preserves_deformed_algebra_at_any_squeeze(theta, r, phi):
+    """test_bogoliubov_preserves_deformed_algebra over the engine's theta
+    range, r up to 3 and any phase.  Each commutator sums products of two
+    coefficients, so its rounding grows as the square of the largest one,
+    |c_a| = cosh(r) cosh(r theta): up to cosh(3)**2, about 101, here,
+    against at most 1.9 on that test's grid.  The tolerance is its 1e-13
+    times that square."""
+    p = _params_at(theta, 1.0, 1.0)
+    coeffs = bogoliubov_coefficients(p, SqueezeParam(r, phi))
+    mode_a = _as_tuple(coeffs.mode_a)
+    mode_b = _as_tuple(coeffs.mode_b)
+    scale = max(abs(c) for c in mode_a + mode_b) ** 2
+    checks = {
+        "aa_dag": (_coeff_commutator(mode_a, _dagged(coeffs.mode_a), p.theta), 1.0),
+        "bb_dag": (_coeff_commutator(mode_b, _dagged(coeffs.mode_b), p.theta), 1.0),
+        "ab": (_coeff_commutator(mode_a, mode_b, p.theta), 0.0),
+        "ab_dag": (_coeff_commutator(mode_a, _dagged(coeffs.mode_b), p.theta), 1j * p.theta),
+    }
+    for name, (got, want) in checks.items():
+        assert abs(got - want) <= 1e-13 * scale, (name, abs(got - want) / scale)
+
+
+def _textbook_overlap(bra, ket):
+    """<bra|ket> of two single-mode coherent states."""
+    return cmath.exp(-0.5 * abs(bra) ** 2 - 0.5 * abs(ket) ** 2 + bra.conjugate() * ket)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bra=_AMP, ket=_AMP, log_theta=st.floats(-12.0, -2.0))
+def test_coherent_overlap_tends_to_the_textbook_product(bra, ket, log_theta):
+    """At theta 0 the overlap is <a1|a2><b1|b2>.  Its exponent is linear
+    in theta, E = E0 + theta E1, and the theta terms of
+    _coherent_overlap_raw bound the derivative:
+    |dE/dtheta| = |E1| <= |a2||b2| + |a1||b1| + |a1||b2| + |b1||a2|
+    = (|a1| + |a2|)(|b1| + |b2|) = D.  So, from |e^w - 1| <= |w| e^|w|,
+    |F(theta) - F(0)| = |F(0)| |e^(theta E1) - 1| <= |F(0)| theta D e^(theta D).
+    Rounding adds at most 1e-14 of |F| per unit of S, the sum of the
+    exponent terms' magnitudes."""
+    want = _textbook_overlap(bra.alpha, ket.alpha) * _textbook_overlap(bra.beta, ket.beta)
+    a_sum = abs(bra.alpha) + abs(ket.alpha)
+    b_sum = abs(bra.beta) + abs(ket.beta)
+    d = a_sum * b_sum
+    for p in (P00, make_params(10.0 ** log_theta, 10.0 ** log_theta, 1.0)):
+        grown = math.exp(p.theta * d)
+        s = 0.5 * (a_sum ** 2 + b_sum ** 2) + p.theta * d
+        rounding = 1e-14 * (1.0 + s) * abs(want) * grown
+        gap = abs(coherent_overlap(p, bra, ket) - want)
+        assert gap <= abs(want) * p.theta * d * grown + rounding, (p.theta, gap)
+
+
 # ---------------------------------------------------------------------------
 # oscillator consistency
 

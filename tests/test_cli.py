@@ -74,6 +74,60 @@ def test_help_exits_zero(capsys):
     assert run(["sweep", "--help"]) == 0
 
 
+# Per subcommand: its shortest valid argv, and one that sets flags.
+_ARGVS = {
+    "params": (["params"],
+               ["params", "--mu", "0.5", "--nu", "2", "--hbar", "3", "--natural"]),
+    "variance": (["variance"],
+                 ["variance", "--r", "0.3", "--phi", "1", "--mu", "0.5", "--json"]),
+    "overlap": (["overlap"],
+                ["overlap", "--alpha", "0.5+0.2i", "--beta2=-1i", "--r", "0.3"]),
+    "bogoliubov": (["bogoliubov"],
+                   ["bogoliubov", "--r", "0.4", "--phi", "2", "--out", "b.csv"]),
+    "check": (["check"],
+              ["check", "--cutoff", "60", "--buffer", "3", "--alpha=2.0i", "--nu", "0.2"]),
+    "overcompleteness": (["overcompleteness"],
+                         ["overcompleteness", "--samples", "2000", "--seed", "7",
+                          "--alpha", "0.1", "--phi", "0.5"]),
+    "sweep": (["sweep", "--variable", "theta", "--start", "0", "--stop", "1",
+               "--step", "0.1", "--quantity", "dx2"],
+              ["sweep", "--variable", "r", "--start", "0", "--stop", "1", "--step",
+               "0.5", "--quantity", "gain_x", "--r", "0.2", "--out", "s.csv", "--json"]),
+    "oscillator": (["oscillator", "--m", "1", "--omega", "2"],
+                   ["oscillator", "--m", "1", "--omega", "2", "--mu", "0.5", "--natural"]),
+}
+
+
+def _help_text(parser, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_command_parser_reads_as_the_full_one(capsys, command):
+    one, full = cli._build_parser(command), cli._build_parser()
+    for argv in _ARGVS[command]:
+        assert one.parse_args(argv) == full.parse_args(argv), argv
+    assert _help_text(one, command, capsys) == _help_text(full, command, capsys)
+
+
+def test_check_run_builds_only_its_own_parser(tmp_path, monkeypatch):
+    # the top-level parser and the check subparser, not all nine
+    progs = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    out = tmp_path / "check.json"
+    assert run(["check", "--mu", "0.5", "--nu", "0.5", "--out", str(out)]) == 0
+    assert progs == ["ncsq", "ncsq check"]
+
+
 # ---------------------------------------------------------------------------
 # params
 

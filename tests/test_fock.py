@@ -409,6 +409,24 @@ def test_displacement_op_rejects_nonfinite(space12):
                 displacement_op(P05, space12, ModeAmplitudes(alpha, 0.0), ops)
 
 
+def test_displacement_op_builds_its_row_once(space12, monkeypatch):
+    # the NonFinite check and the mean-occupation admission read one row
+    calls = []
+    row = fock._displacement_row
+
+    def counting(*args):
+        calls.append(args)
+        return row(*args)
+
+    monkeypatch.setattr(fock, "_displacement_row", counting)
+    ops = build_operator_set(P05, space12)
+    displacement_op(P05, space12, ModeAmplitudes(0.4, 0.3j), ops)
+    assert len(calls) == 1
+    with pytest.raises(PopulationOverflow):
+        displacement_op(P05, space12, ModeAmplitudes(1e12, 0.0), ops)
+    assert len(calls) == 2
+
+
 def test_squeeze_adjoint_is_negated_squeeze():
     """exp(G)+ = exp(G+) for any matrix, so S(z)+ = S(-z) reduces to
     G(z)+ = G(-z), checked entry for entry on the truncated generators,
