@@ -6,15 +6,16 @@ operators (x, y, px, py), the deformed pair (a_def, b_def) and the ordinary
 pair are exact linear combinations of the ordinary a, a+, b, b+ (taken at
 the deformed modes' scale), with coefficient 4-vectors (rows) from
 inverting the 4x4 map that defines the ordinary modes in terms of the
-plane operators.  An OperatorMatrix is its space and its row.  The banded
-form its matrix-vector products use (a tuple of diagonal offsets and one
-row of entries per offset) is derived from the row: the ladders sit at
-offsets +-1 and +-(cutoff+1), each space caches their weights once, and
-every entry is one coefficient times one ladder weight.  Adjoints act on
-rows.  No product of operators is formed: the operator identities are
-4x4 algebra on rows, since the commutator of two linear operators is the
-c-number u @ _J @ w, and the squeeze generator G, quadratic in the pair,
-acts on rows as the matrix M of [G, w.L] = (M w).L (_squeeze_action).
+plane operators.  An OperatorMatrix is its space and its row.  A state's
+amplitudes sit on the (cutoff+1, cutoff+1) grid psi[n_a, n_b], where each
+ladder is one shifted slice times sqrt(n) (_ladder_images), so an
+operator applied to a state is its row times the state's four ladder
+images, and the means and variances of several operators read one set of
+images (_moments).  Adjoints act on rows.  No product of operators is
+formed: the operator identities are 4x4 algebra on rows, since the
+commutator of two linear operators is the c-number u @ _J @ w, and the
+squeeze generator G, quadratic in the pair, acts on rows as the matrix M
+of [G, w.L] = (M w).L (_squeeze_action).
 Every state S D |0_def> is a Gaussian fixed by two annihilators
 linear in the ladders, and make_states fills a batch of them by one
 recurrence over stacks of at most 2**16 amplitudes; no exponential of a
@@ -37,7 +38,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,22 +124,6 @@ class FockSpace:
     def __hash__(self) -> int:
         return hash(("FockSpace", self.cutoff))
 
-    @functools.cached_property
-    def _ladder_bands(self) -> Tuple[Tuple[int, ...], np.ndarray]:
-        """Offsets (-side, -1, 1, side) and the (4, dim) ladder weights of
-        a+, b+, b and a on them, in that order: sqrt(n_a), sqrt(n_b),
-        sqrt(n_b + 1) and sqrt(n_a + 1), zero where the ladder leaves the
-        space or would wrap across a row of n_b."""
-        side = self.cutoff + 1
-        n_a, n_b = self.n_a, self.n_b
-        weights = np.sqrt(np.stack([
-            n_a, n_b,
-            np.where(n_b < self.cutoff, n_b + 1, 0),
-            np.where(n_a < self.cutoff, n_a + 1, 0),
-        ]).astype(float))
-        weights.setflags(write=False)
-        return (-side, -1, 1, side), weights
-
     def index_of(self, n_a: int, n_b: int) -> int:
         if not (0 <= n_a <= self.cutoff and 0 <= n_b <= self.cutoff):
             raise CutoffOutOfRange(
@@ -172,22 +157,33 @@ def _check_same_space(left: FockSpace, right: FockSpace) -> None:
         )
 
 
-def _slices(offset: int, dim: int) -> Tuple[slice, slice]:
-    """Rows i, and their columns i + offset, of the entries a band at this
-    offset holds inside a dim x dim matrix (|offset| < dim)."""
-    if offset >= 0:
-        return slice(0, dim - offset), slice(offset, dim)
-    return slice(-offset, dim), slice(0, dim + offset)
-
-
-# the ladder of each band of FockSpace._ladder_bands, as an index into
-# a coefficient 4-vector over (a, a+, b, b+)
-_BAND_LADDER = [1, 3, 2, 0]
-
-
 def _adjoint(coeffs: np.ndarray) -> np.ndarray:
     """Coefficient 4-vectors (rows) of the adjoints: a <-> a+, b <-> b+, conjugated."""
     return np.conjugate(coeffs[..., [1, 0, 3, 2]])
+
+
+def _lowering(cutoff: int) -> np.ndarray:
+    """The single-mode annihilator A, (cutoff+1) x (cutoff+1): a = A (x) 1
+    and b = 1 (x) A on the two-mode space."""
+    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+
+
+def _ladder_images(space: FockSpace, vectors: np.ndarray) -> np.ndarray:
+    """a, a+, b and b+ applied to each vector of a (..., dim) stack, as
+    (..., 4, dim).  On the amplitude grid psi[n_a, n_b] each is one shifted
+    slice times sqrt(n): (a psi)[n] = sqrt(n_a + 1) psi[n + e_a] and
+    (a+ psi)[n] = sqrt(n_a) psi[n - e_a], likewise for b along n_b, zero
+    where the ladder leaves the space, so nothing wraps across a row of n_b."""
+    side = space.cutoff + 1
+    lead = vectors.shape[:-1]
+    grid = vectors.reshape(lead + (side, side))
+    root = np.sqrt(np.arange(1.0, side))
+    out = np.zeros(lead + (4, side, side), dtype=np.result_type(vectors, np.complex128))
+    out[..., 0, :-1, :] = root[:, None] * grid[..., 1:, :]
+    out[..., 1, 1:, :] = root[:, None] * grid[..., :-1, :]
+    out[..., 2, :, :-1] = root * grid[..., :, 1:]
+    out[..., 3, :, 1:] = root * grid[..., :, :-1]
+    return out.reshape(lead + (4, space.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,56 +192,32 @@ class OperatorMatrix:
 
     ``row`` is its coefficient 4-vector over the ordinary ladders; the
     adjoint is the row's (_adjoint), and the Hermiticity defect is read
-    from the row.  The banded form that matrix-vector products use is
-    derived from the row and the space's cached ladder weights, in the
-    standard diagonal (DIA) format: ``offsets`` holds the ladders' offsets
-    of the non-zero coefficients in ascending order, and row k of the
-    (len(offsets), dim) array ``bands`` holds ``M[i, i + offsets[k]]`` at
-    index i, one coefficient times one ladder weight, zero where that
-    column falls outside the space or the entry wraps across a row of n_b.
-    ``matrix`` is a dense dim x dim array built on each access, for tests
-    and the benchmark's displacement probe only.
+    from the row.  A product with a vector is the row times the vector's
+    _ladder_images.  ``matrix`` is a dense dim x dim array built on each
+    access, for tests and the benchmark's displacement probe only.
     """
 
     space: FockSpace
     row: np.ndarray
 
-    @functools.cached_property
-    def _banded(self) -> Tuple[Tuple[int, ...], np.ndarray]:
-        """(offsets, bands); the band of a zero coefficient is dropped."""
-        offsets, weights = self.space._ladder_bands
-        coeffs = np.asarray(self.row, dtype=np.complex128)[_BAND_LADDER]
-        keep = coeffs != 0.0
-        return tuple(o for o, k in zip(offsets, keep) if k), coeffs[keep, None] * weights[keep]
-
-    @property
-    def offsets(self) -> Tuple[int, ...]:
-        return self._banded[0]
-
-    @property
-    def bands(self) -> np.ndarray:
-        return self._banded[1]
-
     @property
     def matrix(self) -> np.ndarray:
         """A new dense dim x dim array of the operator (dim**2 complex
         entries: about 45 MB at cutoff 40), for tests and the benchmark's
-        displacement probe only; no module of the package reads it."""
-        index = np.arange(self.space.dim)
-        dense = np.zeros((self.space.dim, self.space.dim), dtype=np.complex128)
-        for rows, cols, entries in self._diagonals:
-            dense[index[rows], index[cols]] = entries
-        return dense
-
-    @functools.cached_property
-    def _diagonals(self) -> list:
-        """(rows, cols, entries) per band: the rows it fills, their columns
-        and its entries on those rows, sliced once per operator."""
-        diagonals = []
-        for offset, band in zip(self.offsets, self.bands):
-            rows, cols = _slices(offset, self.space.dim)
-            diagonals.append((rows, cols, band[rows]))
-        return diagonals
+        displacement probe only; no module of the package reads it.  As
+        M[n_a, n_b, m_a, m_b], with a = A (x) 1 and b = 1 (x) A, each
+        coefficient fills the entries of its ladder where A is non-zero."""
+        side = self.space.cutoff + 1
+        lower = _lowering(self.space.cutoff)
+        n, m = np.nonzero(lower)
+        k = np.arange(side)[:, None]
+        c = np.asarray(self.row, dtype=np.complex128)
+        dense = np.zeros((side,) * 4, dtype=np.complex128)
+        dense[n, k, m, k] = c[0] * lower[n, m]
+        dense[m, k, n, k] = c[1] * lower[n, m]
+        dense[k, n, k, m] = c[2] * lower[n, m]
+        dense[k, m, k, n] = c[3] * lower[n, m]
+        return dense.reshape(self.space.dim, self.space.dim)
 
     def dag(self) -> "OperatorMatrix":
         return OperatorMatrix(self.space, _adjoint(self.row))
@@ -265,10 +237,10 @@ class OperatorMatrix:
 
     def _apply(self, block: np.ndarray) -> np.ndarray:
         """M @ block for a vector or a (dim, m) block of columns."""
-        out = np.zeros(block.shape, dtype=np.result_type(self.bands, block))
-        for rows, cols, entries in self._diagonals:
-            out[rows] += (entries if block.ndim == 1 else entries[:, None]) * block[cols]
-        return out
+        row = np.asarray(self.row)
+        if block.ndim == 1:
+            return row @ _ladder_images(self.space, block)
+        return (row @ _ladder_images(self.space, block.T)).T
 
     def __matmul__(self, other):
         if isinstance(other, StateVector):
@@ -462,7 +434,7 @@ def displacement_op(
     """
     if ops is None:
         ops = build_operator_set(params, space)
-    A = np.diag(np.sqrt(np.arange(1.0, ops.space.cutoff + 1)), 1)
+    A = _lowering(ops.space.cutoff)
     with np.errstate(over="ignore", invalid="ignore"):
         row = _displacement_row(ops, amps)
         blocks = np.array([row[0] * A + row[1] * A.T, row[2] * A + row[3] * A.T])
@@ -708,10 +680,21 @@ def expectation_and_variance(
         raise NonHermitianOperator(
             f"hermiticity defect {defect:.3e} exceeds tolerance for variance"
         )
-    applied = op @ state.vector
-    mean = complex(np.vdot(state.vector, applied))
-    second = float(np.real(np.vdot(applied, applied)))
-    var = second - (mean.real * mean.real + mean.imag * mean.imag)
-    if var < 0.0:
-        var = 0.0
-    return mean, var
+    return _moments(state, np.asarray(op.row)[None])[0]
+
+
+def _moments(state: StateVector, rows: np.ndarray,
+             images: Optional[np.ndarray] = None) -> List[Tuple[complex, float]]:
+    """Mean and variance in state of each Hermitian operator rows[k] .
+    (a, a+, b, b+), from one application of the ladders: images is the
+    state's _ladder_images, built here unless the caller has it.  Tiny
+    negative variances from rounding are clamped to zero."""
+    if images is None:
+        images = _ladder_images(state.space, state.vector)
+    moments = []
+    for applied in rows @ images:
+        mean = complex(np.vdot(state.vector, applied))
+        second = float(np.real(np.vdot(applied, applied)))
+        var = second - (mean.real * mean.real + mean.imag * mean.imag)
+        moments.append((mean, max(var, 0.0)))
+    return moments

@@ -44,19 +44,19 @@ from .analytic import ModeAmplitudes, SqueezeParam
 from .fock import (
     DEFAULT_BUFFER,
     FockSpace,
-    OperatorMatrix,
     OperatorSet,
     SpaceMismatch,
     _J,
     _UNIT,
     _adjoint,
+    _ladder_images,
+    _moments,
     _refuse_large_squeeze,
     _squeeze_action,
     _squeeze_terms,
     build_operator_set,
     check_buffer,
     check_displacement,
-    expectation_and_variance,
     make_space,
     make_states,
 )
@@ -208,13 +208,6 @@ def _quadrature_rows(ops: OperatorSet) -> np.ndarray:
     P = (px + py)/2, in _QUADRATURE_NAMES order."""
     x, y, px, py = ops.coeffs[:4]
     return np.array([x, y, px, py, 0.5 * (x + y), 0.5 * (px + py)])
-
-
-def _quadratures(ops: OperatorSet) -> Dict[str, OperatorMatrix]:
-    """The operators of _quadrature_rows, keyed by the names of their
-    variances."""
-    return {name: OperatorMatrix(ops.space, row)
-            for name, row in zip(_QUADRATURE_NAMES, _quadrature_rows(ops))}
 
 
 def algebra_residuals(
@@ -415,7 +408,7 @@ def crosscheck_suite(
         build += [(amps, None), (amps, z)] if z is not None and z.r > 0.0 else [(amps, None)]
     states = make_states(ops, build, buffer=buffer)
     vacuum, _ = next(states)
-    quads = _quadratures(ops)
+    quad_rows = _quadrature_rows(ops)
 
     reports: List[ResidualReport] = []
     for index, (amps, z) in enumerate(cases):
@@ -428,8 +421,10 @@ def crosscheck_suite(
                      "r": 0.0 if z is None else z.r, "phi": 0.0 if z is None else z.phi,
                      "tail": tail, **_params_meta(params, space, buffer)}
 
-        eig = max(np.linalg.norm(m @ coherent.vector - lam * coherent.vector) for m, lam
-                  in zip((ops.a_def, ops.b_def), analytic.coherent_eigenvalues(params, amps)))
+        images = _ladder_images(space, coherent.vector)
+        lams = np.array(analytic.coherent_eigenvalues(params, amps))[:, None]
+        eig = max(np.linalg.norm(residual) for residual
+                  in ops.coeffs[4:] @ images - lams * coherent.vector)
         reports.append(_report(f"eigenvalue[{index}]", eig, OPERATOR_TOL, **case_meta))
 
         if state is coherent:
@@ -448,12 +443,10 @@ def crosscheck_suite(
 
         rep = analytic.single_mode_report(params, z)
         wants = (rep.dx2, rep.dy2, rep.dpx2, rep.dpy2, rep.dX2, rep.dP2)
-        var_resid = 0.0
-        values: Dict[str, float] = {}
-        for (name, op), want in zip(quads.items(), wants):
-            _, got = expectation_and_variance(state, op)
-            values[name] = got
-            var_resid = max(var_resid, _relative_error(got, want))
+        moments = _moments(state, quad_rows, images if state is coherent else None)
+        values = {name: var for name, (_, var) in zip(_QUADRATURE_NAMES, moments)}
+        var_resid = max(0.0, *(_relative_error(got, want)
+                               for got, want in zip(values.values(), wants)))
         reports.append(
             _report(
                 f"variance[{index}]",
@@ -739,8 +732,8 @@ def convergence_probe(
         # to build states whose truncation error is still visible.
         (state, _), (vacuum, _) = make_states(
             ops, [(amps, z), (None, None)], buffer=buffer, tail_tol=1e-3)
-        for name, op in _quadratures(ops).items():
-            _, variance = expectation_and_variance(state, op)
+        moments = _moments(state, _quadrature_rows(ops))
+        for name, (_, variance) in zip(_QUADRATURE_NAMES, moments):
             tracked[name].append(variance)
         tracked["vac_overlap"].append(abs(vacuum.inner(state)))
 

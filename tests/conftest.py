@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.sparse import csr_array, eye_array
+from scipy.sparse import csr_array, diags_array, eye_array, kron
 from scipy.sparse.linalg import expm_multiply
 
 from ncsq import ModeTransform, analytic, make_space, squeeze_commutators
@@ -19,24 +19,19 @@ def ulp_between(a: float, b: float) -> float:
 
 
 def to_csr(op):
-    """A banded operator as a scipy CSR array, entry by entry from its
-    bands (row i, column i + offset), so scipy's arithmetic on it is an
-    independent reference for the engine's band arithmetic."""
-    dim = op.space.dim
-    rows, cols, data = [], [], []
-    for offset, band in zip(op.offsets, op.bands):
-        index = np.arange(max(0, -offset), min(dim, dim - offset))
-        rows.append(index)
-        cols.append(index + offset)
-        data.append(band[index])
-    if not data:
-        return csr_array((dim, dim), dtype=np.complex128)
-    return csr_array((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                     shape=(dim, dim), dtype=np.complex128)
+    """An engine operator as a scipy CSR array: its row times scipy
+    Kronecker products of the single-mode ladder, a = A (x) 1 and
+    b = 1 (x) A, so scipy's arithmetic on it is a reference that shares
+    nothing with how the engine applies its ladders."""
+    side = op.space.cutoff + 1
+    lower = diags_array(np.sqrt(np.arange(1.0, side)), offsets=1)
+    eye = eye_array(side)
+    ladders = (kron(lower, eye), kron(lower.T, eye), kron(eye, lower), kron(eye, lower.T))
+    return csr_array(sum(c * ladder for c, ladder in zip(op.row, ladders)), dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
-# the banded oracle: commutators as scipy products of the engine's matrices
+# the sparse oracle: commutators as scipy products of the engine's matrices
 
 
 def squeeze_generator_csr(ops, z):
@@ -80,7 +75,7 @@ def _image_csr(a_def, b_def, image):
 
 def oracle_identity_residuals(ops, amps, z, buffer):
     """The residuals algebra_residuals and identity_suite report, read by
-    the banded oracle: each relation's safe-block max from scipy products
+    the sparse oracle: each relation's safe-block max from scipy products
     of the engine's truncated operators (over min(1, size), as
     algebra_residuals scales them), displacement_property from the
     commutators of a_def and b_def with the displacement generator, and

@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.sparse import diags_array, eye_array, kron
+from scipy.sparse.linalg import expm_multiply
 
 from conftest import squeeze_flow, ulp_between
 from ncsq import (
@@ -161,29 +162,28 @@ def test_squeezed_overlap_bounded_by_one():
 
 
 def _plain_boson_overlap(bra, ket, z, levels=23):
-    """Textbook two-mode oracle at theta = 0: kron ladders plus expm.
+    """Textbook two-mode oracle at theta = 0: sparse kron ladders, with
+    expm_multiply applying each exponential to the vacuum.
 
-    Built from nothing but numpy primitives so it shares no code with the
-    formula under test.
+    Built from nothing but numpy and scipy primitives so it shares no code
+    with the formula under test.
     """
-    low = np.diag(np.sqrt(np.arange(1.0, levels)), 1)
-    eye = np.eye(levels)
-    op_a = np.kron(low, eye)
-    op_b = np.kron(eye, low)
+    low = diags_array(np.sqrt(np.arange(1.0, levels)), offsets=1, dtype=np.complex128)
+    eye = eye_array(levels, dtype=np.complex128)
+    op_a = kron(low, eye, format="csr")
+    op_b = kron(eye, low, format="csr")
     vac = np.zeros(levels * levels, dtype=np.complex128)
     vac[0] = 1.0
 
-    def displace(amps):
+    def displaced(amps):
         gen = (amps.alpha * op_a.conj().T - np.conj(amps.alpha) * op_a
                + amps.beta * op_b.conj().T - np.conj(amps.beta) * op_b)
-        return expm(gen)
+        return expm_multiply(gen, vac)
 
     zc = z.r * cmath.exp(1j * z.phi)
-    squeeze = expm(np.conj(zc) * (op_a @ op_b)
-                   - zc * (op_a.conj().T @ op_b.conj().T))
-    ket_vec = squeeze @ (displace(ket) @ vac)
-    bra_vec = displace(bra) @ vac
-    return complex(np.vdot(bra_vec, ket_vec))
+    pair = op_a @ op_b
+    ket_vec = expm_multiply(np.conj(zc) * pair - zc * pair.conj().T, displaced(ket))
+    return complex(np.vdot(displaced(bra), ket_vec))
 
 
 def test_squeezed_overlap_against_plain_boson_oracle():
@@ -618,6 +618,52 @@ def test_coherent_overlap_tends_to_the_textbook_product(bra, ket, log_theta):
         rounding = 1e-14 * (1.0 + s) * abs(want) * grown
         gap = abs(coherent_overlap(p, bra, ket) - want)
         assert gap <= abs(want) * p.theta * d * grown + rounding, (p.theta, gap)
+
+
+_ORACLE_AMP = st.builds(ModeAmplitudes, st.complex_numbers(max_magnitude=0.7),
+                       st.complex_numbers(max_magnitude=0.7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bra=_ORACLE_AMP, ket=_ORACLE_AMP, r=st.floats(0.0, 0.4), phi=_PHI,
+       log_theta=st.floats(-12.0, -2.0))
+# the norm term's derivative alone, at its bound UV: a zero bra and a ket
+# with quarter-turn phases, at so small an r that the squeeze adds ~1e-3
+@example(bra=ModeAmplitudes(0.0, 0.0), ket=ModeAmplitudes(0.7, 0.7j), r=1e-3, phi=0.0,
+         log_theta=-2.0)
+def test_squeezed_overlap_tends_to_the_textbook_value(bra, ket, r, phi, log_theta):
+    """At theta 0 the squeezed overlap F(0) is the plain-boson oracle's.
+    With u, v the bra's and U, V the ket's amplitude sizes, each theta term
+    of the exponent E of _squeezed_overlap_exponent has a bounded
+    theta-derivative:
+    - the prefactor's is r (tanh(r+) - tanh(r-))/2, at most r**2 theta;
+    - the norm term's is at most uv + UV;
+    - with r+- = r (1 +- theta), the two branches' is
+      cross (h(r+) - h(r-)) + Y (h(r+) + h(r-)), with |cross| <= uU + vV,
+      |Y| <= uV + vU and h(y) = (1 - y tanh y) / (2 cosh y), which lies in
+      [-1/2, 1/2] with |h'| <= 1, so theirs is at most
+      2 r theta (uU + vV) + uV + vU;
+    - the quadratic terms weigh the squares of U +- iV and u -+ iv by
+      q(r+-) / (4r), q(y) = y tanh y, with theta-derivatives q'(r+-) / 4
+      and 0 <= q' <= 2y, and |U + iV|**2 + |U - iV|**2 = 2 (U**2 + V**2),
+      so theirs is at most r (1 + theta) (u**2 + v**2 + U**2 + V**2).
+    Their sum D bounds |dE/dtheta| on [0, theta], so, from
+    |e^w - 1| <= |w| e^|w|, |F(theta) - F(0)| <= |F(0)| theta D e^(theta D).
+    Rounding adds at most 1e-14 of |F| per unit of S, a bound on the sum
+    of the exponent terms' magnitudes."""
+    z = SqueezeParam(r, phi)
+    want = squeezed_overlap(P00, bra, ket, z)
+    assert abs(want - _plain_boson_overlap(bra, ket, z)) < 1e-12
+    u, v, big_u, big_v = (abs(c) for c in (bra.alpha, bra.beta, ket.alpha, ket.beta))
+    p = make_params(10.0 ** log_theta, 10.0 ** log_theta, 1.0)
+    theta = p.theta
+    d = ((u + big_u) * (v + big_v) + r * (1.0 + theta) * (u * u + v * v + big_u ** 2 + big_v ** 2)
+         + r * theta * (r + 2.0 * (u * big_u + v * big_v)))
+    grown = math.exp(theta * d)
+    s = r + (u + v + big_u + big_v) ** 2 + theta * d
+    rounding = 1e-14 * (1.0 + s) * abs(want) * grown
+    gap = abs(squeezed_overlap(p, bra, ket, z) - want)
+    assert gap <= abs(want) * theta * d * grown + rounding, (theta, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -401,7 +401,7 @@ def test_commutator_residual_matches_the_dense_oracle_and_the_product_route(cuto
     space = make_space(cutoff)
     ops = build_operator_set(make_params(0.7, 0.4, 1.0), space)
     ops_of = {name: OperatorMatrix(space, row) for name, row in _linear_rows(ops).items()}
-    assert ops_of["disp0"].offsets == ()
+    assert not np.any(ops_of["disp0"] @ np.ones(space.dim, dtype=np.complex128))
     dense = {name: op.matrix for name, op in ops_of.items()}
     sparse = {name: to_csr(op) for name, op in ops_of.items()}
     z = SqueezeParam(0.3, 0.7)
@@ -678,6 +678,39 @@ def test_crosscheck_builds_each_state_once(space30, monkeypatch):
     # the vacuum once, one coherent state per case and one squeezed state
     # per squeezed case, counted as the rows of the builder's stacks
     assert len(calls) == 1 + 2 * 1 + 2 * 2
+
+
+def test_crosscheck_applies_the_ladders_once_per_state(space30, monkeypatch):
+    """Each case's coherent state has its ladder images built once, for
+    both eigenvalue residuals and, when the case is not squeezed, its
+    variances; a squeezed state has its own once, for its variances.  The
+    vacuum, read only through overlaps, has none.  The six variances of
+    each case come from one fock._moments call."""
+    images, moments = [], []
+    real_images, real_moments = fock._ladder_images, fock._moments
+
+    def counted_images(space, vectors):
+        images.append(vectors.shape)
+        return real_images(space, vectors)
+
+    def counted_moments(state, rows, images=None):
+        moments.append(len(rows))
+        return real_moments(state, rows, images)
+
+    for module in (fock, verifier):
+        monkeypatch.setattr(module, "_ladder_images", counted_images)
+    monkeypatch.setattr(verifier, "_moments", counted_moments)
+    cases = [(ModeAmplitudes(0.3, 0.1j), None),
+             (ModeAmplitudes(0.2j, -0.1), SqueezeParam(0.1, 0.5)),
+             (ModeAmplitudes(0.0, 0.0), SqueezeParam(0.15, -1.0)),
+             (ModeAmplitudes(-0.1, 0.2 - 0.1j), SqueezeParam(0.0, 1.0)),
+             (ModeAmplitudes(0.5, -0.4j), None)]
+    reports = crosscheck_suite(P05, space30, cases)
+    assert len(reports) == 3 * len(cases) and all(r.passed for r in reports)
+    # three coherent cases (one at r = 0) and two squeezed ones
+    assert len(images) == 3 * 1 + 2 * 2
+    assert all(shape == (space30.dim,) for shape in images)
+    assert moments == [6] * len(cases)
 
 
 def test_suites_refuse_a_large_squeeze_before_building_a_state(space20, monkeypatch):
