@@ -7,6 +7,11 @@ with theta from :mod:`ncsq.params`.  States are labelled by a pair of complex
 displacement amplitudes (alpha, beta) and an optional two-mode squeeze
 parameter z = r*exp(i*phi).
 
+u, v = (a +- i b)/sqrt(2) are two independent ordinary modes:
+[u, u+] = 1 + theta, [v, v+] = 1 - theta and [u, v] = [u, v+] = 0, and
+the squeeze squeezes each on its own.  So every overlap is a product of
+two textbook single-mode overlaps, from one kernel called for u and for v.
+
 Everything in this module is a scalar closed form: overlaps, eigenvalues of
 the annihilators on displaced states, the coefficients of the squeeze
 conjugation and of its generator's commutators, quadrature variances,
@@ -230,60 +235,57 @@ def coherent_eigenvalues(params: NcParams, amps: ModeAmplitudes) -> Tuple[comple
     )
 
 
-def _coherent_overlap_raw(theta, a1, b1, a2, b2):
-    """<a1, b1 | a2, b2> for scalar or ndarray amplitude batches."""
-    a1c = np.conjugate(a1)
-    b1c = np.conjugate(b1)
-    a2c = np.conjugate(a2)
-    b2c = np.conjugate(b2)
-    exponent = (
-        -0.5 * (a2c * a2 + b2c * b2 + a1c * a1 + b1c * b1)
-        + a1c * a2
-        + b1c * b2
-        + 0.5j * theta * (b2c * a2 - a2c * b2 + b1c * a1 - a1c * b1)
-        + 1j * theta * (a1c * b2 - b1c * a2)
-    )
-    return np.exp(exponent)
+def _mode_exponent(x1: complex, x2: complex, w: float, rho: float, phi: float) -> complex:
+    """log <x1| S |x2> in one mode x with [x, x+] = w, the ket displaced to
+    x2 and then squeezed by S = exp(-(i/2) (rho/w) (e^(-i phi) x**2 + h.c.)),
+    from the unit mode x/sqrt(w)'s overlap (Yuen, Phys. Rev. A 13, 2226 (1976)):
+
+        -log(cosh rho)/2 + w [-(|x1|**2 + |x2|**2)/2 + conj(x1) x2 sech rho
+                              - (i/2) tanh rho (e^(-i phi) x2**2 + e^(i phi) conj(x1)**2)]
+
+    A negative rho is |rho| at phi + pi.  With t = tanh rho and
+    y = p + i q = sqrt(|w|) x e^(-i (phi + pi/2)/2), the bracket's real part is
+    -[(sqrt(1 + t) p1 - sqrt(1 - t) p2)**2 + (sqrt(1 - t) q1 - sqrt(1 + t) q2)**2]/2,
+    -inf and never NaN when a square overflows, and its imaginary part
+    sech rho Im(conj(y1) (y2 - y1)) + t (p1 q1 + p2 q2) is 0 for equal
+    amplitudes at rho = 0.  No rho overflows e^(-2 rho), which gives the
+    hyperbolic functions; at rho = 0 phi is not read (same bits at any phase).
+    """
+    if rho < 0.0:
+        rho, phi = -rho, phi + math.pi
+    decay, rise = math.exp(-2.0 * rho), -math.expm1(-2.0 * rho)
+    plus, minus = math.sqrt(2.0 / (1.0 + decay)), math.sqrt(2.0 * decay / (1.0 + decay))
+    turn = math.sqrt(abs(w)) * (cmath.exp(-0.5j * (phi + 0.5 * math.pi)) if rho else 1.0)
+    y1, y2 = x1 * turn, x2 * turn
+    p1, q1, p2, q2 = y1.real, y1.imag, y2.real, y2.imag
+    dp, dq = plus * p1 - minus * p2, minus * q1 - plus * q2
+    tanh, sign = rise / (1.0 + decay), math.copysign(1.0, w)
+    im = plus * minus * (p1 * (q2 - q1) - q1 * (p2 - p1)) + (tanh * p1) * q1 + (tanh * p2) * q2
+    log_cosh = rho + math.log1p(-0.5 * rise)
+    return complex(-0.5 * log_cosh - 0.5 * sign * (dp * dp + dq * dq), sign * im)
 
 
-def _squeezed_overlap_exponent(theta, a1, b1, a2, b2, r, phi):
-    """log <a1, b1 | a2, b2; z>, the log of the 1/sqrt(cosh cosh)
-    prefactor included; at r = 0 it is the coherent exponent.  For fixed
-    (a1, b1) it is a polynomial of degree two in the real and imaginary
-    parts of (a2, b2)."""
-    rp = r * (1.0 + theta)
-    rm = r * (1.0 - theta)
-    chp = np.cosh(rp)
-    chm = np.cosh(rm)
-    thp = np.tanh(rp)
-    thm = np.tanh(rm)
-    a1c = np.conjugate(a1)
-    b1c = np.conjugate(b1)
-    a2c = np.conjugate(a2)
-    b2c = np.conjugate(b2)
-
-    log_prefactor = -0.5 * np.log(chp * chm)
-    norm_term = -0.5 * (
-        a2c * a2 + b2c * b2 + a1c * a1 + b1c * b1
-        + 1j * theta * (a2c * b2 - b2c * a2 + a1c * b1 - b1c * a1)
-    )
-    cross = a1c * a2 + b1c * b2
-    branch_p = (1.0 + theta) * (cross + 1j * a1c * b2 - 1j * b1c * a2) / (2.0 * chp)
-    branch_m = (1.0 - theta) * (cross - 1j * a1c * b2 + 1j * b1c * a2) / (2.0 * chm)
-    ket_quad = -1j * np.exp(-1j * phi) * (
-        0.25 * (1.0 + theta) * thp * (a2 + 1j * b2) ** 2
-        - 0.25 * (1.0 - theta) * thm * (a2 - 1j * b2) ** 2
-    )
-    bra_quad = -1j * np.exp(1j * phi) * (
-        0.25 * (1.0 + theta) * thp * (a1c - 1j * b1c) ** 2
-        - 0.25 * (1.0 - theta) * thm * (a1c + 1j * b1c) ** 2
-    )
-    return log_prefactor + norm_term + branch_p + branch_m + ket_quad + bra_quad
+def _overlap_exponent(theta: float, a1: complex, b1: complex, a2: complex, b2: complex,
+                      r: float, phi: float) -> complex:
+    """log <a1, b1| S(z) |a2, b2>, z = r e^(i phi), over u and v: conj(z) a b
+    - z a+ b+ = -(i/2) (conj(z) u**2 + z u+**2) + (i/2) (conj(z) v**2 + z v+**2)
+    squeezes u by r (1 + theta) at phi and v by r (1 - theta) at phi + pi."""
+    h = math.sqrt(0.5)
+    u1, u2, v1, v2 = h * (a1 + 1j * b1), h * (a2 + 1j * b2), h * (a1 - 1j * b1), h * (a2 - 1j * b2)
+    return (_mode_exponent(u1, u2, 1.0 + theta, r * (1.0 + theta), phi)
+            + _mode_exponent(v1, v2, 1.0 - theta, r * (1.0 - theta), phi + math.pi))
 
 
-def _squeezed_overlap_raw(theta, a1, b1, a2, b2, r, phi):
-    """<a1, b1 | a2, b2; z> with the bra coherent and the ket squeezed."""
-    return np.exp(_squeezed_overlap_exponent(theta, a1, b1, a2, b2, r, phi))
+def _overlap(theta: float, bra: ModeAmplitudes, ket: ModeAmplitudes,
+             r: float, phi: float) -> complex:
+    """e^E, E from _overlap_exponent, or 0 where it underflows; NonFinite where
+    it is not finite (amplitudes near the largest float, or theta > 1)."""
+    exponent = _overlap_exponent(theta, bra.alpha, bra.beta, ket.alpha, ket.beta, r, phi)
+    if exponent.real < -746.0:  # e**x rounds to 0.0 below about -745.1
+        return 0j
+    if cmath.isfinite(exponent) and exponent.real < 709.7:  # e**709.78 overflows
+        return cmath.exp(exponent)
+    raise NonFinite(f"the overlap's exponent {exponent!r} gives no finite overlap")
 
 
 def _identity_integrand_coefficients(
@@ -305,10 +307,9 @@ def _identity_integrand_coefficients(
     def log_f(g: np.ndarray) -> complex:
         alpha = math.sqrt(0.5) * complex(g[0], g[1])
         beta = math.sqrt(0.5) * complex(g[2], g[3])
-        left = _squeezed_overlap_exponent(theta, psi1.alpha, psi1.beta, alpha, beta, r, phi)
-        right = _squeezed_overlap_exponent(theta, psi2.alpha, psi2.beta, alpha, beta, r, phi)
-        return complex(log_weight + left + np.conjugate(right)
-                       + abs(alpha) ** 2 + abs(beta) ** 2)
+        left = _overlap_exponent(theta, psi1.alpha, psi1.beta, alpha, beta, r, phi)
+        right = _overlap_exponent(theta, psi2.alpha, psi2.beta, alpha, beta, r, phi)
+        return log_weight + left + right.conjugate() + abs(alpha) ** 2 + abs(beta) ** 2
 
     unit = np.eye(4)
     c = log_f(np.zeros(4))
@@ -328,9 +329,7 @@ def coherent_overlap(params: NcParams, bra: ModeAmplitudes, ket: ModeAmplitudes)
     Reduces to the ordinary two-mode coherent overlap at theta -> 0; the
     i*theta terms entangle the two displacement planes.
     """
-    return complex(
-        _coherent_overlap_raw(params.theta, bra.alpha, bra.beta, ket.alpha, ket.beta)
-    )
+    return _overlap(params.theta, bra, ket, 0.0, 0.0)
 
 
 def squeezed_overlap(
@@ -339,16 +338,10 @@ def squeezed_overlap(
     """Overlap of a displaced bra with a squeezed displaced ket.
 
     The two-mode squeeze acts after the displacement on the ket.  At r == 0
-    the squeeze is the identity and the coherent overlap is returned
-    unchanged (same code path, bit for bit).
+    the squeeze is the identity and the value is coherent_overlap's, bit
+    for bit: the same path, which reads no phase at zero squeeze.
     """
-    if z.r == 0.0:
-        return coherent_overlap(params, bra, ket)
-    return complex(
-        _squeezed_overlap_raw(
-            params.theta, bra.alpha, bra.beta, ket.alpha, ket.beta, z.r, z.phi
-        )
-    )
+    return _overlap(params.theta, bra, ket, z.r, z.phi)
 
 
 def bogoliubov_coefficients(params: NcParams, z: SqueezeParam) -> BogoliubovCoeffs:
@@ -535,10 +528,12 @@ def _overflow(r: float, theta: float) -> NonFinite:
 def oscillator_consistency(osc: OscillatorParams, params: NcParams) -> OscillatorCheck:
     """Check m**2 w**2 == mu/nu, required for an isotropic oscillator.
 
-    The condition ties the oscillator scales to the ratio of the two
-    noncommutativity parameters; it is judged at 1e-12 relative.
+    The condition ties the oscillator scales to the ratio of mu and nu; it
+    is judged at 1e-12 relative, and refused (NonFinite) if a side overflows.
     """
-    lhs = (osc.mass * osc.omega) ** 2
-    rhs = params.mu / params.nu
+    product = osc.mass * osc.omega
+    lhs, rhs = product * product, params.mu / params.nu
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise NonFinite(f"m**2 w**2 = {lhs!r} or mu/nu = {rhs!r} overflows a float")
     consistent = abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
     return OscillatorCheck(lhs=lhs, rhs=rhs, consistent=consistent)

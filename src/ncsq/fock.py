@@ -483,10 +483,14 @@ def _pair_data(rows: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     With rows = Ma (a, b) + Mc (a+, b+), the state is
     exp(a+^T L a+ / 2 + l . a+)|0,0> up to a factor, with L = -Ma^-1 Mc and
     l = Ma^-1 g from one 2x2 solve.  It exists exactly when L is symmetric,
-    which is [rows_0, rows_1] = 0; an asymmetry |L01 - L10| above 1e-10
-    raises SaturatedOrSuperCritical.  rows may be a (..., 2, 4) stack, g (2,) or (..., 2)."""
+    which is [rows_0, rows_1] = 0; a singular Ma, or an asymmetry |L01 - L10|
+    above 1e-10, raises SaturatedOrSuperCritical.  rows may be a (..., 2, 4)
+    stack, g (2,) or (..., 2)."""
     g = np.broadcast_to(np.asarray(g, dtype=np.complex128)[..., None], rows.shape[:-1] + (1,))
-    sol = np.linalg.solve(rows[..., [0, 2]], np.concatenate([-rows[..., [1, 3]], g], axis=-1))
+    try:
+        sol = np.linalg.solve(rows[..., [0, 2]], np.concatenate([-rows[..., [1, 3]], g], axis=-1))
+    except np.linalg.LinAlgError:
+        raise SaturatedOrSuperCritical("no Gaussian null state: singular (a, b) part") from None
     pair, linear = sol[..., :2], sol[..., 2]
     asymmetry = float(np.abs(pair[..., 0, 1] - pair[..., 1, 0]).max())
     if asymmetry > 1e-10:

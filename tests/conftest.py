@@ -117,6 +117,63 @@ def oracle_identity_residuals(ops, amps, z, buffer):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the paper-form oracle: both overlap exponents expanded in (a, b) by hand,
+# for scalars or ndarray batches; the package evaluates them as two
+# single-mode overlaps of u, v = (a +- i b)/sqrt(2) instead
+
+
+def _coherent_overlap_raw(theta, a1, b1, a2, b2):
+    """<a1, b1 | a2, b2> for scalar or ndarray amplitude batches."""
+    a1c = np.conjugate(a1)
+    b1c = np.conjugate(b1)
+    a2c = np.conjugate(a2)
+    b2c = np.conjugate(b2)
+    exponent = (
+        -0.5 * (a2c * a2 + b2c * b2 + a1c * a1 + b1c * b1)
+        + a1c * a2
+        + b1c * b2
+        + 0.5j * theta * (b2c * a2 - a2c * b2 + b1c * a1 - a1c * b1)
+        + 1j * theta * (a1c * b2 - b1c * a2)
+    )
+    return np.exp(exponent)
+
+
+def _squeezed_overlap_exponent(theta, a1, b1, a2, b2, r, phi):
+    """log <a1, b1 | a2, b2; z>, the log of the 1/sqrt(cosh cosh)
+    prefactor included; at r = 0 it is the coherent exponent.  For fixed
+    (a1, b1) it is a polynomial of degree two in the real and imaginary
+    parts of (a2, b2)."""
+    rp = r * (1.0 + theta)
+    rm = r * (1.0 - theta)
+    chp = np.cosh(rp)
+    chm = np.cosh(rm)
+    thp = np.tanh(rp)
+    thm = np.tanh(rm)
+    a1c = np.conjugate(a1)
+    b1c = np.conjugate(b1)
+    a2c = np.conjugate(a2)
+    b2c = np.conjugate(b2)
+
+    log_prefactor = -0.5 * np.log(chp * chm)
+    norm_term = -0.5 * (
+        a2c * a2 + b2c * b2 + a1c * a1 + b1c * b1
+        + 1j * theta * (a2c * b2 - b2c * a2 + a1c * b1 - b1c * a1)
+    )
+    cross = a1c * a2 + b1c * b2
+    branch_p = (1.0 + theta) * (cross + 1j * a1c * b2 - 1j * b1c * a2) / (2.0 * chp)
+    branch_m = (1.0 - theta) * (cross - 1j * a1c * b2 + 1j * b1c * a2) / (2.0 * chm)
+    ket_quad = -1j * np.exp(-1j * phi) * (
+        0.25 * (1.0 + theta) * thp * (a2 + 1j * b2) ** 2
+        - 0.25 * (1.0 - theta) * thm * (a2 - 1j * b2) ** 2
+    )
+    bra_quad = -1j * np.exp(1j * phi) * (
+        0.25 * (1.0 + theta) * thp * (a1c - 1j * b1c) ** 2
+        - 0.25 * (1.0 - theta) * thm * (a1c + 1j * b1c) ** 2
+    )
+    return log_prefactor + norm_term + branch_p + branch_m + ket_quad + bra_quad
+
+
 @pytest.fixture(scope="session")
 def space12():
     return make_space(12)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.sparse import diags_array, eye_array, kron
 from scipy.sparse.linalg import expm_multiply
 
-from conftest import squeeze_flow, ulp_between
+from conftest import _squeezed_overlap_exponent, squeeze_flow, ulp_between
 from ncsq import (
     ModeAmplitudes,
     SqueezeParam,
@@ -28,6 +28,7 @@ from ncsq import (
     single_mode_report,
     squeezed_overlap,
 )
+from ncsq import analytic
 from ncsq.analytic import OscillatorParams
 from ncsq.cli import _variance_row
 
@@ -601,8 +602,8 @@ def _textbook_overlap(bra, ket):
 @given(bra=_AMP, ket=_AMP, log_theta=st.floats(-12.0, -2.0))
 def test_coherent_overlap_tends_to_the_textbook_product(bra, ket, log_theta):
     """At theta 0 the overlap is <a1|a2><b1|b2>.  Its exponent is linear
-    in theta, E = E0 + theta E1, and the theta terms of
-    _coherent_overlap_raw bound the derivative:
+    in theta, E = E0 + theta E1, and the theta terms of the paper form
+    (conftest's _coherent_overlap_raw) bound the derivative:
     |dE/dtheta| = |E1| <= |a2||b2| + |a1||b1| + |a1||b2| + |b1||a2|
     = (|a1| + |a2|)(|b1| + |b2|) = D.  So, from |e^w - 1| <= |w| e^|w|,
     |F(theta) - F(0)| = |F(0)| |e^(theta E1) - 1| <= |F(0)| theta D e^(theta D).
@@ -634,7 +635,7 @@ _ORACLE_AMP = st.builds(ModeAmplitudes, st.complex_numbers(max_magnitude=0.7),
 def test_squeezed_overlap_tends_to_the_textbook_value(bra, ket, r, phi, log_theta):
     """At theta 0 the squeezed overlap F(0) is the plain-boson oracle's.
     With u, v the bra's and U, V the ket's amplitude sizes, each theta term
-    of the exponent E of _squeezed_overlap_exponent has a bounded
+    of the paper-form exponent E (conftest's _squeezed_overlap_exponent) has a bounded
     theta-derivative:
     - the prefactor's is r (tanh(r+) - tanh(r-))/2, at most r**2 theta;
     - the norm term's is at most uv + UV;
@@ -664,6 +665,23 @@ def test_squeezed_overlap_tends_to_the_textbook_value(bra, ket, r, phi, log_thet
     rounding = 1e-14 * (1.0 + s) * abs(want) * grown
     gap = abs(squeezed_overlap(p, bra, ket, z) - want)
     assert gap <= abs(want) * theta * d * grown + rounding, (theta, gap)
+
+
+_NEAR_ONE = st.floats(-9.0, 0.0).map(lambda e: 1.0 - 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.one_of(st.floats(0.0, 1.0 - 1e-9), _NEAR_ONE), r=st.floats(0.0, 8.0),
+       phi=_PHI, amps=st.lists(st.complex_numbers(max_magnitude=3.0), min_size=4, max_size=4))
+@example(theta=0.5, r=0.0, phi=1.0, amps=[0.3 - 1j, 2.0, -1.5j, 0.7 + 0.7j])
+def test_overlap_exponent_is_the_paper_form(theta, r, phi, amps):
+    """The single-mode exponents of u, v = (a +- i b)/sqrt(2) sum to the
+    paper form, expanded in (a, b) by hand (conftest), within 1e-14 of
+    the size of its terms, up to theta = 1 - 1e-9 and r = 8."""
+    got = analytic._overlap_exponent(theta, *amps, r, phi)
+    want = complex(_squeezed_overlap_exponent(theta, *amps, r, phi))
+    scale = max(1.0, sum(abs(c) ** 2 for c in amps), r)
+    assert abs(got - want) <= 1e-14 * scale, abs(got - want) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schema, CSV/JSON emission."""
 
+import contextlib
 import csv
 import io
 import json
@@ -681,6 +682,74 @@ def test_plain_value_error_in_a_handler_exits_three(capsys, monkeypatch):
 def test_refused_values_exit_two(capsys, argv):
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("ncsq: error:")
+
+
+# inputs that warned, printed NaN or exited 3, with the overlap each must
+# print; the last is a 60-digit evaluation of the paper form at the
+# canonical phase -0.5092306823485515, whose terms are of size
+# |1 - theta| |beta2|**2 / 2 ~ 2.7e5 at theta ~ 595, so 1e-14 of that
+# is 3e-9 in the exponent
+_OVERLAP_EDGES = [
+    (["--alpha", "1e200"], 0.0),
+    (["--alpha", "1e200", "--r", "0.2"], 0.0),
+    (["--alpha", "1e160", "--alpha2", "1e160"], 1.0),
+    (["--alpha", "1e160i", "--alpha2", "1e160"], 0.0),
+    (["--mu", "0.999", "--nu", "0.19374171222582978", "--r", "1000000.0", "--phi", "1.0",
+      "--alpha2=0"], 0.0),
+    (["--mu", "2", "--nu", "10", "--hbar", "0.007513599452551477", "--r", "0.7",
+      "--phi", "10000000000.0", "--beta2=30"], 1.5734087587945142e-281),
+]
+
+
+@pytest.mark.parametrize("flags, want", _OVERLAP_EDGES)
+def test_overlap_at_the_edges_is_right_and_silent(capsys, flags, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = run_json(capsys, ["overlap", *flags])
+    assert code == 0
+    assert doc["result"]["overlap_abs"] == pytest.approx(want, rel=3e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    # (m omega)**2 overflows a float
+    ["oscillator", "--mu", "1", "--nu", "10.69771093459987", "--hbar", "1e-06",
+     "--m", "1e+200", "--omega", "886.8199638782409"],
+    # the ladder rows underflow to 0: the annihilators' (a, b) part is singular
+    ["check", "--mu", "1.717843737008754", "--nu", "1.4977061121883045e-06",
+     "--hbar", "1.7e+308", "--alpha=1e-200", "--beta=2.5i", "--cutoff", "20", "--buffer", "0"],
+])
+def test_overflow_and_singular_inputs_are_refused(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("ncsq: error:")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scales=st.lists(_FINITE, min_size=3, max_size=3), natural=st.booleans(),
+       squeeze=st.lists(st.none() | _FINITE, min_size=2, max_size=2),
+       amps=st.lists(st.none() | st.builds(complex, _FINITE, _FINITE), min_size=4, max_size=4))
+def test_overlap_exits_zero_or_two_and_never_warns(scales, natural, squeeze, amps):
+    """Every flag of ncsq overlap over the whole finite float range: a
+    finite overlap or a refusal, with no warning and no exit 3."""
+    argv = ["overlap", *(f"--{name}={value!r}" for name, value in
+                         zip(("mu", "nu", "hbar", "r", "phi"), scales + squeeze)
+                         if value is not None)]
+    argv += [f"--{name}={format_complex(value)}" for name, value in
+             zip(("alpha", "beta", "alpha2", "beta2"), amps) if value is not None]
+    argv += ["--natural"] * natural
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        code = run(argv)
+    assert code in (0, 2), argv
+    if code == 0:
+        row = json.loads(out.getvalue())["result"]
+        assert all(math.isfinite(row[key]) for key in ("overlap_re", "overlap_im", "overlap_abs"))
 
 
 def test_unwritable_out_exits_two(capsys, tmp_path):

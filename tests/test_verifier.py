@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _coherent_overlap_raw,
+    _squeezed_overlap_exponent,
     commutator_residual,
     displacement_generator_csr,
     fit_mode_block,
@@ -215,6 +217,26 @@ def test_algebra_holds_at_any_ratio_of_mu_to_nu(space12, log_ratio, theta):
     ops = build_operator_set(make_params(theta * root, theta / root, 1.0), space12)
     resids = algebra_residuals(ops)
     assert max(resids.values()) <= verifier.COMMUTATOR_TOL, resids
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+@pytest.mark.parametrize("theta", [0.0, 0.1, 0.5, 0.9, 0.999])
+def test_u_and_v_are_independent_modes(space12, theta, ratio):
+    """On the engine's rows, u, v = (a_def +- i b_def)/sqrt(2) are two
+    independent modes with [u, u+] = 1 + theta and [v, v+] = 1 - theta,
+    the split that analytic's overlaps are built on."""
+    root, scale = math.sqrt(ratio), theta or 1e-200
+    ops = build_operator_set(make_params(scale * root, scale / root, 1.0), space12)
+    a_row, b_row = ops.coeffs[4:]
+    u, v = (a_row + 1j * b_row) / math.sqrt(2.0), (a_row - 1j * b_row) / math.sqrt(2.0)
+    checks = {
+        "u_udag": (u, fock._adjoint(u), 1.0 + ops.params.theta),
+        "v_vdag": (v, fock._adjoint(v), 1.0 - ops.params.theta),
+        "u_vdag": (u, fock._adjoint(v), 0.0),
+        "u_v": (u, v, 0.0),
+    }
+    for name, (left, right, want) in checks.items():
+        assert abs(left @ fock._J @ right - want) <= verifier.COMMUTATOR_TOL, name
 
 
 def test_boson_algebra_at_an_extreme_ratio_of_mu_to_nu(space30):
@@ -926,8 +948,9 @@ def test_phase_factors_match_cos_and_sin():
 def _three_exp_mc(params, probes, samples, seed, z=None):
     """Estimates and stderrs from the integrand as a product of three
     exponentials over the whole sample array: two overlaps and the
-    importance weight, each evaluated on its own.  The draws are the
-    call's shared stream: standard_normal((4, n)) per chunk, in order."""
+    importance weight, each evaluated on its own by the paper-form oracle
+    of conftest.  The draws are the call's shared stream:
+    standard_normal((4, n)) per chunk, in order."""
     theta = params.theta
     rng = np.random.default_rng(seed)
     chunks = [rng.standard_normal((4, min(_MC_CHUNK, samples - start)))
@@ -939,13 +962,13 @@ def _three_exp_mc(params, probes, samples, seed, z=None):
     out = []
     for psi1, psi2 in probes:
         if z is None:
-            left = analytic._coherent_overlap_raw(theta, psi1.alpha, psi1.beta, alpha, beta)
-            right = analytic._coherent_overlap_raw(theta, alpha, beta, psi2.alpha, psi2.beta)
+            left = _coherent_overlap_raw(theta, psi1.alpha, psi1.beta, alpha, beta)
+            right = _coherent_overlap_raw(theta, alpha, beta, psi2.alpha, psi2.beta)
         else:
-            left = analytic._squeezed_overlap_raw(
-                theta, psi1.alpha, psi1.beta, alpha, beta, z.r, z.phi)
-            right = np.conjugate(analytic._squeezed_overlap_raw(
-                theta, psi2.alpha, psi2.beta, alpha, beta, z.r, z.phi))
+            left = np.exp(_squeezed_overlap_exponent(
+                theta, psi1.alpha, psi1.beta, alpha, beta, z.r, z.phi))
+            right = np.conjugate(np.exp(_squeezed_overlap_exponent(
+                theta, psi2.alpha, psi2.beta, alpha, beta, z.r, z.phi)))
         values = (1.0 - theta * theta) * left * right * gauss_weight
         spread = (values.real.var(ddof=1) + values.imag.var(ddof=1)) / samples
         out.append((complex(values.mean()), math.sqrt(spread)))
@@ -995,12 +1018,12 @@ def test_log_integrand_is_the_polarized_quadratic_form(theta, r, phi, amps, g):
     alpha = math.sqrt(0.5) * complex(g[0], g[1])
     beta = math.sqrt(0.5) * complex(g[2], g[3])
     if r == 0.0:
-        left = analytic._coherent_overlap_raw(theta, psi1.alpha, psi1.beta, alpha, beta)
-        right = analytic._coherent_overlap_raw(theta, alpha, beta, psi2.alpha, psi2.beta)
+        left = _coherent_overlap_raw(theta, psi1.alpha, psi1.beta, alpha, beta)
+        right = _coherent_overlap_raw(theta, alpha, beta, psi2.alpha, psi2.beta)
     else:
-        left = analytic._squeezed_overlap_raw(theta, psi1.alpha, psi1.beta, alpha, beta, r, phi)
+        left = np.exp(_squeezed_overlap_exponent(theta, psi1.alpha, psi1.beta, alpha, beta, r, phi))
         right = np.conjugate(
-            analytic._squeezed_overlap_raw(theta, psi2.alpha, psi2.beta, alpha, beta, r, phi))
+            np.exp(_squeezed_overlap_exponent(theta, psi2.alpha, psi2.beta, alpha, beta, r, phi)))
     want = (1.0 - theta * theta) * left * right * math.exp(abs(alpha) ** 2 + abs(beta) ** 2)
     assert abs(fused - want) <= 1e-12 * abs(want)
 
